@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <cstdlib>
 #include <iostream>
 #include <ostream>
 
@@ -32,6 +33,16 @@ void CliParser::add_bool(const std::string& name, bool default_value,
 }
 
 bool CliParser::parse(int argc, char** argv) {
+  try {
+    return parse_flags(argc, argv);
+  } catch (const InvalidArgument& e) {
+    std::cerr << program_name() << ": " << e.what() << "\n\n";
+    print_usage(std::cerr);
+    std::exit(2);
+  }
+}
+
+bool CliParser::parse_flags(int argc, char** argv) {
   if (argc > 0) program_name_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -39,7 +50,9 @@ bool CliParser::parse(int argc, char** argv) {
       print_usage(std::cout);
       return false;
     }
-    GEOMAP_CHECK_MSG(arg.rfind("--", 0) == 0, "unexpected argument: " << arg);
+    if (arg.rfind("--", 0) != 0) {
+      throw InvalidArgument("unexpected argument: " + arg);
+    }
     arg = arg.substr(2);
 
     std::string name;
@@ -61,13 +74,15 @@ bool CliParser::parse(int argc, char** argv) {
     if (!has_value) {
       if (it->second.kind == Kind::kBool) {
         value = "true";
-      } else {
-        GEOMAP_CHECK_MSG(i + 1 < argc, "flag --" << name << " needs a value");
+      } else if (i + 1 < argc) {
         value = argv[++i];
+      } else {
+        throw InvalidArgument("flag --" + name + " needs a value");
       }
     }
 
     // Validate eagerly so bad input fails at parse time.
+    bool ok = true;
     try {
       switch (it->second.kind) {
         case Kind::kInt:
@@ -77,15 +92,16 @@ bool CliParser::parse(int argc, char** argv) {
           (void)std::stod(value);
           break;
         case Kind::kBool:
-          GEOMAP_CHECK(value == "true" || value == "false" || value == "1" ||
-                       value == "0");
+          ok = value == "true" || value == "false" || value == "1" ||
+               value == "0";
           break;
         case Kind::kString:
           break;
       }
-    } catch (const Error&) {
-      throw;
     } catch (const std::exception&) {
+      ok = false;
+    }
+    if (!ok) {
       throw InvalidArgument("bad value '" + value + "' for flag --" + name);
     }
     it->second.value = value;

@@ -3,6 +3,8 @@
 //
 // Supports --name=value, --name value, and boolean --flag forms. Unknown
 // flags are an error so typos fail fast; "--help" prints registered flags.
+// A usage error ends the process with exit code 2 after printing the
+// message and the usage to stderr, so no main needs its own handler.
 
 #include <cstdint>
 #include <map>
@@ -26,7 +28,8 @@ class CliParser {
                 const std::string& help);
 
   /// Parse argv. Returns false (after printing usage) when --help was
-  /// given; throws InvalidArgument on unknown flags or bad values.
+  /// given. An unexpected argument, unknown flag, missing value or bad
+  /// value prints the error and the usage to stderr and exits 2.
   bool parse(int argc, char** argv);
 
   std::int64_t get_int(const std::string& name) const;
@@ -51,6 +54,8 @@ class CliParser {
     std::string help;
   };
 
+  /// parse() without the exit: throws InvalidArgument on usage errors.
+  bool parse_flags(int argc, char** argv);
   const Flag& find(const std::string& name, Kind kind) const;
 
   std::string description_;

@@ -1,5 +1,6 @@
 #include "common/json_reader.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +18,18 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   GEOMAP_CHECK_ARG(is_number(), "JSON value is not a number");
   return number_;
+}
+
+std::uint64_t JsonValue::as_uint64() const {
+  GEOMAP_CHECK_ARG(is_number(), "JSON value is not a number");
+  std::uint64_t out = 0;
+  const char* first = string_.data();
+  const char* last = first + string_.size();
+  const auto [end, ec] = std::from_chars(first, last, out);
+  GEOMAP_CHECK_ARG(ec == std::errc() && end == last,
+                   "JSON number " << string_
+                                  << " is not an unsigned 64-bit integer");
+  return out;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -68,10 +81,11 @@ JsonValue JsonValue::make_bool(bool v) {
   return out;
 }
 
-JsonValue JsonValue::make_number(double v) {
+JsonValue JsonValue::make_number(double v, std::string literal) {
   JsonValue out;
   out.kind_ = Kind::kNumber;
   out.number_ = v;
+  out.string_ = std::move(literal);
   return out;
 }
 
@@ -178,7 +192,7 @@ class Parser {
         if (literal("null")) return JsonValue::make_null();
         fail("invalid literal");
       default:
-        return JsonValue::make_number(number());
+        return number();
     }
   }
 
@@ -283,7 +297,7 @@ class Parser {
     return out;
   }
 
-  double number() {
+  JsonValue number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size()) {
@@ -296,7 +310,7 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
+    std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
@@ -309,7 +323,7 @@ class Parser {
       pos_ = start;
       fail("number out of range");
     }
-    return v;
+    return JsonValue::make_number(v, std::move(token));
   }
 
   std::string_view text_;

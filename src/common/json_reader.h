@@ -15,6 +15,7 @@
 // truncation path throws instead of reading past the buffer.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,6 +58,11 @@ class JsonValue {
   /// Typed accessors; throw InvalidArgument on kind mismatch.
   bool as_bool() const;
   double as_number() const;
+  /// Exact value of a parsed non-negative integer number (64-bit seeds
+  /// and ids, which a double holds exactly only up to 2^53). Throws
+  /// InvalidArgument unless the number's literal is a plain decimal
+  /// integer in [0, 2^64).
+  std::uint64_t as_uint64() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;
   /// Object members in document order (duplicate keys are kept as-is).
@@ -75,7 +81,9 @@ class JsonValue {
 
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool v);
-  static JsonValue make_number(double v);
+  /// `literal` is the number's source text, which parse_json keeps for
+  /// as_uint64.
+  static JsonValue make_number(double v, std::string literal = {});
   static JsonValue make_string(std::string v);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(
@@ -85,7 +93,7 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  // a string's value, or a number's literal
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };

@@ -250,18 +250,12 @@ void DegradationDetector::observe_timeout(SiteId src, SiteId dst, Seconds t) {
 }
 
 void DegradationDetector::scan(const TimeSeriesRegistry& timeline) {
-  // Feed each link's merged latency / retry / timeout stream in
-  // virtual-time order, link by link (links in sorted order), so the
-  // cross-signal episode logic (retry-quiet closing, etc.) sees the same
-  // order an in-run observer would. The stable re-sort on (src, dst)
-  // groups the globally-ordered extraction per link while preserving
-  // each link's (t, signal, value) subsequence order.
-  std::vector<LinkSample> samples = collect_link_samples(timeline);
-  std::stable_sort(samples.begin(), samples.end(),
-                   [](const LinkSample& a, const LinkSample& b) {
-                     return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
-                   });
-  for (const LinkSample& s : samples) feed_sample(*this, s);
+  // One feed order for every caller: the globally time-ordered stream a
+  // WAL-backed run feeds incrementally. Link state is independent, so
+  // each link still sees its own (t, signal, value) subsequence in order.
+  for (const LinkSample& s : collect_link_samples(timeline)) {
+    feed_sample(*this, s);
+  }
 }
 
 std::vector<DegradationEvent> DegradationDetector::events() const {

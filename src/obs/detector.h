@@ -222,8 +222,8 @@ class DegradationDetector {
 /// Extract every link.latency_ratio / link.retry / link.timeout point
 /// from a registry as one stream in a deterministic total order —
 /// (t, src, dst, signal, value) — suitable for incremental feeding with
-/// a resumable watermark (an index into this vector). Per-link relative
-/// order matches what scan() feeds.
+/// a resumable watermark (an index into this vector). This is the order
+/// scan() feeds.
 std::vector<LinkSample> collect_link_samples(
     const TimeSeriesRegistry& timeline);
 

@@ -9,16 +9,10 @@
 #include "common/error.h"
 #include "common/json_writer.h"
 #include "common/timer.h"
-#include "core/remap.h"
-#include "fault/attribution.h"
 #include "fault/crash.h"
-#include "fault/degraded_network.h"
-#include "fault/fault_plan.h"
 #include "obs/collector.h"
-#include "obs/detector.h"
-#include "obs/incident.h"
+#include "obs/eventlog.h"
 #include "recover/recovery.h"
-#include "sim/netsim.h"
 
 namespace geomap::recover {
 
@@ -38,15 +32,6 @@ void CrashMatrixOptions::validate() const {
 }
 
 namespace {
-
-std::vector<sim::TenantFlow> flows_of(const tenancy::Substrate& substrate) {
-  std::vector<sim::TenantFlow> flows;
-  flows.reserve(substrate.tenants.size());
-  for (const tenancy::Tenant& t : substrate.tenants) {
-    flows.push_back({&t.problem.comm, &t.mapping});
-  }
-  return flows;
-}
 
 /// Canonical outcome digest: everything the WAL promises to preserve
 /// across a crash. Timeline series are deliberately excluded (a resumed
@@ -97,97 +82,14 @@ std::uint32_t case_digest(const tenancy::MultiTenantSoakCase& c,
 
 }  // namespace
 
-tenancy::StormResume build_storm_resume(
-    const RecoveredControlPlane& rcp,
-    const std::vector<tenancy::RemapRequest>& requests) {
-  tenancy::StormResume sr;
-  Seconds last = 0;
-  sr.pending.reserve(requests.size());
-  for (const tenancy::RemapRequest& r : requests) {
-    tenancy::ResumePending rp;
-    rp.tenant = r.tenant;
-    rp.next_eligible = r.request_time;
-    sr.pending.push_back(rp);
-    last = std::max(last, r.request_time);
-  }
-  const auto pending_of = [&sr](int tenant) -> tenancy::ResumePending& {
-    for (tenancy::ResumePending& p : sr.pending) {
-      if (p.tenant == tenant) return p;
-    }
-    GEOMAP_CHECK_ARG(false, "WAL names tenant " << tenant
-                                                << " that filed no request");
-    return sr.pending.front();  // unreachable
-  };
-  // A requeue both counts and re-arms the backoff timer: the pending
-  // timer fires exactly once after recovery, at the recorded instant.
-  for (const SchedRequeueRecord& rq : rcp.requeues) {
-    tenancy::ResumePending& p = pending_of(rq.tenant);
-    p.attempts = rq.attempts;
-    p.next_eligible = rq.next_eligible;
-    last = std::max(last, rq.t);
-  }
-  for (const SchedGiveUpRecord& gu : rcp.give_ups) {
-    tenancy::ResumePending& p = pending_of(gu.tenant);
-    p.attempts = gu.attempts;
-    p.done = true;
-    p.gave_up = true;
-    last = std::max(last, gu.t);
-  }
-  for (const RecoveredGrant& g : rcp.grants) {
-    last = std::max(last, g.grant.granted_at);
-    if (g.finished) {
-      tenancy::ResumePending& p = pending_of(g.grant.tenant);
-      p.attempts = g.grant.attempts;
-      p.done = true;
-      tenancy::ResumeFinished rf;
-      rf.tenant = g.grant.tenant;
-      rf.granted_at = g.grant.granted_at;
-      rf.attempts = g.grant.attempts;
-      rf.at_grant = g.grant.current;
-      rf.report = rebuild_migration_report(g.migs, g.grant.current,
-                                           g.grant.target, g.grant.granted_at,
-                                           g.finish.finish_time);
-      // The finish record is authoritative where the journal alone is
-      // lossy (idle grants, rounding).
-      rf.report.migration_seconds = g.finish.migration_seconds;
-      rf.report.final_mapping = g.finish.final_mapping;
-      sr.finished.push_back(std::move(rf));
-      last = std::max(last, g.finish.finish_time);
-    } else if (!g.requeued) {
-      tenancy::ResumeInterrupted& ri = sr.interrupted;
-      ri.active = true;
-      ri.tenant = g.grant.tenant;
-      ri.granted_at = g.grant.granted_at;
-      ri.attempts = g.grant.attempts;
-      ri.at_grant = g.grant.current;
-      ri.target = g.grant.target;
-      ri.view_capacities.clear();
-      ri.view_capacities.reserve(g.grant.view_capacities.size());
-      for (const double v : g.grant.view_capacities) {
-        ri.view_capacities.push_back(static_cast<int>(v));
-      }
-      tenancy::ResumePending& p = pending_of(g.grant.tenant);
-      p.attempts = g.grant.attempts;
-    }
-  }
-  sr.requeues = static_cast<int>(rcp.requeues.size());
-  sr.gave_up = static_cast<int>(rcp.give_ups.size());
-  sr.last_activity = last;
-  return sr;
-}
-
 RecoverableCaseResult run_recoverable_case(
     std::uint64_t seed, const RecoverableSoakOptions& options) {
   options.validate();
   GEOMAP_CHECK_ARG(options.soak.collector != nullptr,
                    "recoverable soak requires a collector");
-  obs::Collector& collector = *options.soak.collector;
-  obs::EventLog* elog = &collector.events();
-  const std::uint64_t seq0 = elog->total();
-
+  obs::EventLog& elog = options.soak.collector->events();
+  const std::uint64_t seq0 = elog.total();
   RecoverableCaseResult result;
-  tenancy::MultiTenantSoakCase& cse = result.soak_case;
-  cse.seed = seed;
 
   // Replay whatever a crashed predecessor made durable.
   Timer replay_timer;
@@ -199,26 +101,25 @@ RecoverableCaseResult run_recoverable_case(
   result.resumed = rcp.has_run;
   result.recoveries = result.resumed ? rcp.recoveries + 1 : 0;
 
-  // 1. Substrate + solo baselines (deterministic recompute, both modes).
-  tenancy::Substrate substrate = make_substrate(seed, options.soak.substrate);
-  cse.tenants = substrate.num_tenants();
+  const tenancy::SubstrateOptions& sub = options.soak.substrate;
   const std::string policy = tenancy::to_string(options.soak.scheduler.policy);
   if (result.resumed) {
     GEOMAP_CHECK_ARG(
-        rcp.run.seed == seed && rcp.run.tenants == substrate.num_tenants() &&
-            rcp.run.sites == substrate.num_sites() && rcp.run.policy == policy,
+        rcp.run.seed == seed && rcp.run.tenants == sub.num_tenants &&
+            rcp.run.sites == sub.num_sites && rcp.run.policy == policy,
         "WAL at " << options.wal_dir << " belongs to a different run (seed "
                   << rcp.run.seed << ", " << rcp.run.tenants << " tenants, "
                   << rcp.run.sites << " sites, policy " << rcp.run.policy
                   << ")");
   }
 
+  // The run's opening record is durable before the case announces
+  // anything (case_start).
   Wal wal(options.wal_dir, options.wal);
   Timer recovery_timer;
   if (result.resumed) {
     // New generation: seed the sanitized past so this generation's
-    // snapshots keep folding it, mark the boundary, re-announce what the
-    // dead process already announced.
+    // snapshots keep folding it, and mark the boundary.
     wal.seed_history(rcp.effective);
     std::ostringstream os;
     {
@@ -229,198 +130,30 @@ RecoverableCaseResult run_recoverable_case(
       w.end_object();
     }
     wal.append(WalRecordType::kRecoveryBegin, 0, os.str());
-    wal.sync();
   } else {
     RunBeginRecord rb;
     rb.seed = seed;
-    rb.tenants = substrate.num_tenants();
-    rb.sites = substrate.num_sites();
+    rb.tenants = sub.num_tenants;
+    rb.sites = sub.num_sites;
     rb.policy = policy;
     wal.append(WalRecordType::kRunBegin, 0, encode_run_begin(rb));
-    wal.sync();
   }
-  // case_start first, THEN the re-emitted history: incident building
-  // segments the stream at case_start markers, so the recovered stream
-  // must keep the live stream's order (case_start leads).
-  elog->emit(0, obs::EventSeverity::kInfo, "soak", "case_start",
-             {obs::field("seed", seed), obs::field("tenants", cse.tenants)});
-  if (result.resumed) reemit_events(rcp, *elog);
+  wal.sync();
   result.recovery_seconds = recovery_timer.elapsed_seconds();
-  const net::NetworkModel& network = substrate.tenants.front().problem.network;
 
-  // 2. Healthy calibration + chaos plan (deterministic recompute).
-  const fault::FaultPlan no_faults;
-  const fault::DegradedNetworkModel healthy(network, no_faults);
-  sim::MultiTenantReplayOptions calibrate;
-  calibrate.rounds = options.soak.app_rounds;
-  const Seconds healthy_makespan =
-      sim::replay_multitenant(flows_of(substrate), healthy, calibrate)
-          .makespan;
-
-  fault::ChaosOptions chaos = options.soak.chaos;
-  chaos.num_sites = substrate.num_sites();
-  chaos.horizon = healthy_makespan;
-  if (chaos.migration_window_length <= 0) {
-    chaos.migration_window_length = 1.5 * healthy_makespan;
-    if (chaos.migration_window_faults == 0) chaos.migration_window_faults = 2;
-  }
-  const fault::ChaosPlan chaos_plan = fault::make_chaos_plan(seed, chaos);
-  cse.primary_site = chaos_plan.primary_site;
-  cse.outage_time = chaos_plan.primary_outage_time;
-  const fault::DegradedNetworkModel degraded(network, chaos_plan.plan);
-
-  // 3. Observation replay (deterministic recompute — the sample stream a
-  //    resumed detector is re-fed from is identical to the one the dead
-  //    process saw).
-  obs::Collector telemetry;
-  sim::MultiTenantReplayOptions observe;
-  observe.rounds = options.soak.app_rounds;
-  observe.collector = &telemetry;
-  sim::replay_multitenant(flows_of(substrate), degraded, observe);
-
-  // 4. Detect — incrementally, with compacting snapshots at the sample
-  //    watermark; or adopt the durable decision after a post-decision
-  //    crash (the detector's verdict is already law, re-deciding could
-  //    only disagree with what the storm acted on).
-  const std::vector<obs::LinkSample> samples =
-      obs::collect_link_samples(telemetry.timeline());
-  DetectDecisionRecord decision;
-  if (result.resumed && rcp.has_decision) {
-    decision = rcp.decision;
-  } else {
-    obs::DegradationDetector detector;
-    std::size_t start = 0;
-    if (result.resumed) {
-      if (rcp.has_detector) detector.restore(rcp.detector);
-      GEOMAP_CHECK_ARG(rcp.watermark <= samples.size(),
-                       "WAL snapshot watermark " << rcp.watermark
-                                                 << " exceeds the recomputed "
-                                                 << samples.size()
-                                                 << "-sample stream");
-      start = rcp.watermark;
-    }
-    detector.set_event_log(elog);
-    detector.set_wal(&wal);
-    for (std::size_t i = start; i < samples.size(); ++i) {
-      obs::feed_sample(detector, samples[i]);
-      if (options.snapshot_every_samples > 0 &&
-          (i + 1) % static_cast<std::size_t>(options.snapshot_every_samples) ==
-              0 &&
-          i + 1 < samples.size()) {
-        SnapshotStateRecord state;
-        state.watermark = i + 1;
-        state.has_detector = true;
-        state.detector = detector.checkpoint();
-        wal.snapshot(samples[i].t, encode_snapshot_state(state));
-      }
-    }
-    const core::SuspectVote vote =
-        core::vote_suspected_site(detector.events());
-    decision.detected = vote.site != -1;
-    decision.suspected_correct = vote.site == chaos_plan.primary_site;
-    decision.suspect = vote.site;
-    decision.failed_site = chaos_plan.primary_site;
-    decision.outage_time = chaos_plan.primary_outage_time;
-    const bool usable = decision.detected && decision.suspected_correct;
-    decision.detect_time =
-        usable ? vote.detection_time : chaos_plan.primary_outage_time;
-    // Decision durable before anyone acts on it, then announced, then a
-    // snapshot closes the detector phase (recovery after this point
-    // never re-feeds the detector).
-    wal.append(WalRecordType::kDetectDecision, decision.detect_time,
-               encode_detect_decision(decision));
-    wal.sync();
-    elog->emit(decision.detect_time,
-               decision.suspected_correct ? obs::EventSeverity::kInfo
-                                          : obs::EventSeverity::kWarn,
-               "soak", "detect",
-               {obs::field("detected", decision.detected),
-                obs::field("suspected_correct", decision.suspected_correct),
-                obs::field("suspect", decision.suspect),
-                obs::field("failed_site", decision.failed_site),
-                obs::field("outage_time", decision.outage_time)});
-    SnapshotStateRecord state;
-    state.watermark = samples.size();
-    state.has_detector = true;
-    state.detector = detector.checkpoint();
-    wal.snapshot(decision.detect_time, encode_snapshot_state(state));
-  }
-  cse.detected = decision.detected;
-  cse.suspected_correct = decision.suspected_correct;
-  cse.detect_time = decision.detect_time;
-  const SiteId failed = chaos_plan.primary_site;
-
-  // 5. Requests (deterministic recompute from pre-storm placements).
-  std::vector<tenancy::RemapRequest> requests;
-  for (const tenancy::Tenant& t : substrate.tenants) {
-    int stranded = 0;
-    for (const SiteId s : t.mapping) {
-      if (s == failed) stranded += 1;
-    }
-    if (stranded == 0) continue;
-    tenancy::RemapRequest r;
-    r.tenant = t.id;
-    r.request_time = cse.detect_time;
-    r.severity = static_cast<double>(stranded) /
-                 static_cast<double>(t.mapping.size());
-    requests.push_back(r);
-  }
-  cse.requests = static_cast<int>(requests.size());
-
-  tenancy::SchedulerOptions sched = options.soak.scheduler;
-  sched.migrate.bytes_per_process = options.soak.bytes_per_process;
-  sched.migrate.chunk_bytes = options.soak.chunk_bytes;
-  sched.remap.bytes_per_process = options.soak.bytes_per_process;
-  if (sched.collector == nullptr) sched.collector = &collector;
-  sched.wal = &wal;
-
-  std::vector<Mapping> initial;
-  initial.reserve(substrate.tenants.size());
-  for (const tenancy::Tenant& t : substrate.tenants) {
-    initial.push_back(t.mapping);
-  }
-
-  tenancy::StormResume storm_resume;
-  if (result.resumed) {
-    // The durable request tail must be a prefix of the recomputed queue;
-    // requests the dead process never made durable are appended (and
-    // announced) now, exactly once.
-    GEOMAP_CHECK_ARG(rcp.requests.size() <= requests.size(),
-                     "WAL holds " << rcp.requests.size()
-                                  << " remap requests, the recomputed case "
-                                  << "produces only " << requests.size());
-    for (std::size_t i = 0; i < rcp.requests.size(); ++i) {
-      GEOMAP_CHECK_ARG(rcp.requests[i].tenant == requests[i].tenant,
-                       "WAL request " << i << " names tenant "
-                                      << rcp.requests[i].tenant
-                                      << ", recomputed case expects "
-                                      << requests[i].tenant);
-    }
-    for (std::size_t i = rcp.requests.size(); i < requests.size(); ++i) {
-      SchedRequestRecord r;
-      r.tenant = requests[i].tenant;
-      r.request_time = requests[i].request_time;
-      r.severity = requests[i].severity;
-      wal.append(WalRecordType::kSchedRequest, r.request_time,
-                 encode_sched_request(r));
-    }
-    if (rcp.requests.size() < requests.size()) wal.sync();
-    for (std::size_t i = rcp.requests.size(); i < requests.size(); ++i) {
-      elog->emit(requests[i].request_time, obs::EventSeverity::kInfo,
-                 "scheduler", "queue",
-                 {obs::field("tenant", requests[i].tenant),
-                  obs::field("severity", requests[i].severity)});
-    }
-    storm_resume = build_storm_resume(rcp, requests);
-  }
-
-  cse.storm = run_remap_storm(substrate, chaos_plan.plan, failed, requests,
-                              sched, result.resumed ? &storm_resume : nullptr);
+  result.soak_case =
+      tenancy::run_soak_case(seed, options.soak, &wal,
+                             result.resumed ? &rcp : nullptr,
+                             options.snapshot_every_samples);
+  const tenancy::MultiTenantSoakCase& cse = result.soak_case;
 
   // The redone journal must extend the durable prefix field-for-field —
   // the no-double-commit / no-lost-grant certificate.
   if (result.resumed && rcp.has_interrupted) {
-    const int tenant = storm_resume.interrupted.tenant;
+    int tenant = -1;
+    for (const RecoveredGrant& g : rcp.grants) {
+      if (!g.finished && !g.requeued) tenant = g.grant.tenant;
+    }
     const std::vector<fault::MigrationEvent>* redone = nullptr;
     for (const tenancy::TenantRecovery& rec : cse.storm.recoveries) {
       if (rec.tenant == tenant) redone = &rec.report.events;
@@ -437,105 +170,10 @@ RecoverableCaseResult run_recoverable_case(
     }
   }
 
-  // 6. Certify journals + cross-tenant view (as the plain soak does).
-  fault::MigrationInvariantOptions inv;
-  inv.planned_bytes_per_process = options.soak.bytes_per_process;
-  inv.chunk_bytes = options.soak.chunk_bytes;
-  inv.max_retries = sched.migrate.retry.max_retries;
-  inv.max_copy_attempts = sched.migrate.max_copy_attempts +
-                          sched.migrate.max_replans +
-                          sched.migrate.max_emergency_attempts;
-
-  std::vector<fault::TenantJournal> journals(
-      static_cast<std::size_t>(substrate.num_tenants()));
-  for (int k = 0; k < substrate.num_tenants(); ++k) {
-    journals[static_cast<std::size_t>(k)].initial_mapping =
-        initial[static_cast<std::size_t>(k)];
-    journals[static_cast<std::size_t>(k)].options = inv;
-  }
-  for (const tenancy::TenantRecovery& rec : cse.storm.recoveries) {
-    if (!rec.granted) continue;
-    journals[static_cast<std::size_t>(rec.tenant)].events = rec.report.events;
-    fault::MigrationInvariantOptions tenant_inv = inv;
-    tenant_inv.horizon = rec.report.finish_time;
-    const std::vector<fault::InvariantViolation> v =
-        fault::check_migration_invariants(
-            rec.report.events, initial[static_cast<std::size_t>(rec.tenant)],
-            substrate.site_capacities, chaos_plan.plan, tenant_inv);
-    cse.invariants_checked += 1;
-    for (const fault::InvariantViolation& viol : v) {
-      cse.violations.push_back(
-          {viol.t,
-           "tenant " + std::to_string(rec.tenant) + ": " + viol.message});
-    }
-  }
-  const std::vector<fault::InvariantViolation> cross =
-      fault::check_cross_tenant_invariants(journals, substrate.site_capacities,
-                                           chaos_plan.plan);
-  cse.invariants_checked += 1;
-  for (const fault::InvariantViolation& viol : cross) {
-    cse.violations.push_back({viol.t, "cross-tenant: " + viol.message});
-  }
-
-  // Post-recovery stretch + case_done + incidents (as the plain soak).
-  Seconds recovery_end = cse.detect_time;
-  for (const tenancy::TenantRecovery& rec : cse.storm.recoveries) {
-    if (rec.granted) recovery_end = std::max(recovery_end, rec.finish_time);
-  }
-  sim::MultiTenantReplayOptions post;
-  post.start_time = recovery_end;
-  const sim::MultiTenantReplayResult shared =
-      sim::replay_multitenant(flows_of(substrate), degraded, post);
-  std::vector<double> stretch;
-  stretch.reserve(substrate.tenants.size());
-  for (int k = 0; k < substrate.num_tenants(); ++k) {
-    const tenancy::Tenant& t = substrate.tenants[static_cast<std::size_t>(k)];
-    const Seconds solo = t.solo_makespan > 0 ? t.solo_makespan : 1.0;
-    stretch.push_back(shared.tenants[static_cast<std::size_t>(k)].makespan /
-                      solo);
-  }
-  cse.fairness = tenancy::fairness_from_stretch(stretch);
-  const bool clean = cse.violations.empty();
-  elog->emit(recovery_end,
-             clean ? obs::EventSeverity::kInfo : obs::EventSeverity::kError,
-             "soak", "case_done",
-             {obs::field("seed", seed), obs::field("requests", cse.requests),
-              obs::field("gave_up", cse.storm.gave_up),
-              obs::field("requeues", cse.storm.requeues),
-              obs::field("storm_drain", cse.storm.storm_drain_seconds),
-              obs::field("violations", cse.violations.size()),
-              obs::field("jain_index", cse.fairness.jain_index),
-              obs::field("mean_stretch", cse.fairness.mean_stretch),
-              obs::field("p99_stretch", cse.fairness.p99_stretch)});
-
-  cse.incidents = obs::build_incidents(elog->events_since(seq0));
-  fault::AttributionScoreOptions sopt;
-  std::vector<bool> used(static_cast<std::size_t>(substrate.num_sites()),
-                         false);
-  for (const Mapping& mp : initial) {
-    for (const SiteId s : mp) {
-      if (s >= 0) used[static_cast<std::size_t>(s)] = true;
-    }
-  }
-  for (SiteId a = 0; a < substrate.num_sites(); ++a) {
-    for (SiteId b = a + 1; b < substrate.num_sites(); ++b) {
-      if (used[static_cast<std::size_t>(a)] &&
-          used[static_cast<std::size_t>(b)]) {
-        sopt.observable_links.push_back({a, b});
-      }
-    }
-  }
-  cse.attribution = fault::score_attribution(
-      cse.incidents, chaos_plan.plan.truth_windows(substrate.num_sites()),
-      sopt);
-  cse.attribution_scored = true;
-  collector.incidents().add(cse.incidents);
-  collector.incidents().add_totals(cse.attribution);
-
   // Seal the run (idempotent: a predecessor that died after sealing
   // already has the record).
   if (!rcp.run_complete) {
-    wal.append(WalRecordType::kRunEnd, recovery_end, "{}");
+    wal.append(WalRecordType::kRunEnd, tenancy::storm_end_time(cse), "{}");
     wal.sync();
   }
 
@@ -547,7 +185,7 @@ RecoverableCaseResult run_recoverable_case(
     result.recovery_violations.push_back(std::move(v));
   }
 
-  result.digest = case_digest(cse, elog->events_since(seq0));
+  result.digest = case_digest(cse, elog.events_since(seq0));
   return result;
 }
 

@@ -1,27 +1,33 @@
 #pragma once
-// Crash-consistent soak driver: the multi-tenant soak case rebuilt on
-// top of the control-plane WAL, plus the exhaustive crash-matrix soak.
+// Crash-consistent soak driver: one multi-tenant soak case run behind a
+// control-plane WAL, plus the exhaustive crash-matrix soak.
 //
-// run_recoverable_case runs one observe → detect → storm → certify case
-// (mirroring tenancy::run_multitenant_soak_case stage for stage) with
-// every control-plane decision written ahead to a WAL in `wal_dir`.
-// When the directory already holds a crashed run's log the case
-// *resumes* instead of restarting:
+// run_recoverable_case runs tenancy::run_soak_case — the one soak case
+// body — with its WAL hooks set, and adds only the work a WAL run needs
+// around the case. When `wal_dir` already holds a crashed run's log the
+// case *resumes* instead of restarting:
 //
-//   * the WAL is replayed (recover::replay_wal), the sanitized history
-//     seeds a new WAL generation behind a recovery_begin marker, and the
-//     already-announced events are re-emitted into the fresh event log;
-//   * the detector is restored from the latest snapshot's checkpoint and
-//     re-fed from its sample watermark (pre-decision crashes) or skipped
-//     entirely in favour of the durable decision record (post-decision);
-//   * the storm continues via tenancy::StormResume: finished grants are
-//     replayed into the ledgers, an interrupted grant is redone
-//     idempotently from its recorded decision inputs, and the redone
-//     journal is checked to extend the durable prefix field-for-field
-//     (no double commit, no lost grant);
-//   * everything deterministic (substrate, calibration, chaos plan,
-//     telemetry) is recomputed from the seed, so the resumed case's
-//     final events / incidents / fairness match the uninterrupted run's.
+//   * before the case: the WAL is read and replayed
+//     (recover::replay_wal) and checked to belong to this (seed,
+//     tenants, sites, policy); a new WAL generation opens, seeded with
+//     the sanitized history behind a recovery_begin marker (run_begin
+//     for a fresh run), durable before the case announces case_start;
+//   * during the case (run_soak_case's hooks): the history is re-emitted
+//     into the fresh event log, the detector is restored from the latest
+//     snapshot and re-fed from its sample watermark or skipped in favour
+//     of the durable decision record, and the storm continues via
+//     tenancy::StormResume — finished grants replayed into the ledgers,
+//     an interrupted grant redone from its recorded decision inputs;
+//   * after the case: the redone interrupted journal is checked to
+//     extend the durable prefix field-for-field (no double commit, no
+//     lost grant), run_end seals the log, the whole surviving WAL is
+//     audited (check_recovery_invariants), and the outcome digest is
+//     taken.
+//
+// Everything deterministic (substrate, calibration, chaos plan,
+// telemetry) is recomputed from the seed, so the resumed case's final
+// events / incidents / fairness match the uninterrupted run's — and an
+// uninterrupted run's match run_multitenant_soak_case's.
 //
 // The caller supplies a *fresh* collector per process generation (a real
 // restart starts with an empty event log); re-emission fills it.
@@ -68,7 +74,8 @@ struct RecoverableCaseResult {
   int recoveries = 0;
   std::size_t wal_records_replayed = 0;
   double wal_replay_seconds = 0;
-  /// Resume-specific work: seeding, re-emission, detector re-arm.
+  /// Opening this generation's WAL: seeding the sanitized history and
+  /// making run_begin / recovery_begin durable.
   double recovery_seconds = 0;
 
   /// Prefix-consistency and post-run WAL audit failures
@@ -85,18 +92,6 @@ struct RecoverableCaseResult {
 
 RecoverableCaseResult run_recoverable_case(std::uint64_t seed,
                                            const RecoverableSoakOptions& options);
-
-/// Shape a replayed control plane into tenancy::run_remap_storm's resume
-/// input: per-request queue state (attempts consumed, pending backoff
-/// timers — a timer pending at the crash fires exactly once after
-/// recovery), finished grants in WAL order with rebuilt reports, and the
-/// interrupted grant's recorded decision inputs. `requests` must be the
-/// deterministically recomputed request list; the WAL's durable
-/// sched_request records are validated to be a prefix of it by the
-/// caller.
-tenancy::StormResume build_storm_resume(
-    const RecoveredControlPlane& rcp,
-    const std::vector<tenancy::RemapRequest>& requests);
 
 struct CrashMatrixOptions {
   /// Per-attempt `soak.collector` is overridden with a fresh collector;

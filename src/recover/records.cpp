@@ -35,6 +35,17 @@ double num(const JsonValue& v, const char* key, const char* what) {
   return m->as_number();
 }
 
+/// Exact 64-bit read: seeds above 2^53 do not survive a double.
+std::uint64_t num_u64(const JsonValue& v, const char* key, const char* what) {
+  (void)num(v, key, what);  // present and a number
+  try {
+    return v.find(key)->as_uint64();
+  } catch (const InvalidArgument& e) {
+    throw WalCorrupt(std::string(what) + " payload \"" + key + "\": " +
+                     e.what());
+  }
+}
+
 int num_int(const JsonValue& v, const char* key, const char* what) {
   return static_cast<int>(num(v, key, what));
 }
@@ -218,7 +229,7 @@ RunBeginRecord decode_run_begin(const std::string& payload) {
   const char* what = "run_begin";
   const JsonValue v = parse_payload(payload, what);
   RunBeginRecord r;
-  r.seed = static_cast<std::uint64_t>(num(v, "seed", what));
+  r.seed = num_u64(v, "seed", what);
   r.tenants = num_int(v, "tenants", what);
   r.sites = num_int(v, "sites", what);
   r.policy = str(v, "policy", what);

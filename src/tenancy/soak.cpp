@@ -10,6 +10,7 @@
 #include "fault/fault_plan.h"
 #include "obs/collector.h"
 #include "obs/detector.h"
+#include "recover/recovery.h"
 #include "sim/netsim.h"
 
 namespace geomap::tenancy {
@@ -37,9 +38,101 @@ std::vector<sim::TenantFlow> flows_of(const Substrate& substrate) {
 
 }  // namespace
 
-MultiTenantSoakCase run_multitenant_soak_case(
-    std::uint64_t seed, const MultiTenantSoakOptions& options) {
+StormResume build_storm_resume(const recover::RecoveredControlPlane& rcp,
+                               const std::vector<RemapRequest>& requests) {
+  StormResume sr;
+  Seconds last = 0;
+  sr.pending.reserve(requests.size());
+  for (const RemapRequest& r : requests) {
+    ResumePending rp;
+    rp.tenant = r.tenant;
+    rp.next_eligible = r.request_time;
+    sr.pending.push_back(rp);
+    last = std::max(last, r.request_time);
+  }
+  const auto pending_of = [&sr](int tenant) -> ResumePending& {
+    for (ResumePending& p : sr.pending) {
+      if (p.tenant == tenant) return p;
+    }
+    GEOMAP_CHECK_ARG(false, "WAL names tenant " << tenant
+                                                << " that filed no request");
+    return sr.pending.front();  // unreachable
+  };
+  // A requeue both counts and re-arms the backoff timer: the pending
+  // timer fires exactly once after recovery, at the recorded instant.
+  for (const recover::SchedRequeueRecord& rq : rcp.requeues) {
+    ResumePending& p = pending_of(rq.tenant);
+    p.attempts = rq.attempts;
+    p.next_eligible = rq.next_eligible;
+    last = std::max(last, rq.t);
+  }
+  for (const recover::SchedGiveUpRecord& gu : rcp.give_ups) {
+    ResumePending& p = pending_of(gu.tenant);
+    p.attempts = gu.attempts;
+    p.done = true;
+    p.gave_up = true;
+    last = std::max(last, gu.t);
+  }
+  for (const recover::RecoveredGrant& g : rcp.grants) {
+    last = std::max(last, g.grant.granted_at);
+    if (g.finished) {
+      ResumePending& p = pending_of(g.grant.tenant);
+      p.attempts = g.grant.attempts;
+      p.done = true;
+      ResumeFinished rf;
+      rf.tenant = g.grant.tenant;
+      rf.granted_at = g.grant.granted_at;
+      rf.attempts = g.grant.attempts;
+      rf.at_grant = g.grant.current;
+      rf.report = recover::rebuild_migration_report(
+          g.migs, g.grant.current, g.grant.target, g.grant.granted_at,
+          g.finish.finish_time);
+      // The finish record is authoritative where the journal alone is
+      // lossy (idle grants, rounding).
+      rf.report.migration_seconds = g.finish.migration_seconds;
+      rf.report.final_mapping = g.finish.final_mapping;
+      sr.finished.push_back(std::move(rf));
+      last = std::max(last, g.finish.finish_time);
+    } else if (!g.requeued) {
+      ResumeInterrupted& ri = sr.interrupted;
+      ri.active = true;
+      ri.tenant = g.grant.tenant;
+      ri.granted_at = g.grant.granted_at;
+      ri.attempts = g.grant.attempts;
+      ri.at_grant = g.grant.current;
+      ri.target = g.grant.target;
+      ri.view_capacities.clear();
+      ri.view_capacities.reserve(g.grant.view_capacities.size());
+      for (const double v : g.grant.view_capacities) {
+        ri.view_capacities.push_back(static_cast<int>(v));
+      }
+      ResumePending& p = pending_of(g.grant.tenant);
+      p.attempts = g.grant.attempts;
+    }
+  }
+  sr.requeues = static_cast<int>(rcp.requeues.size());
+  sr.gave_up = static_cast<int>(rcp.give_ups.size());
+  sr.last_activity = last;
+  return sr;
+}
+
+Seconds storm_end_time(const MultiTenantSoakCase& c) {
+  Seconds end = c.detect_time;
+  for (const TenantRecovery& rec : c.storm.recoveries) {
+    if (rec.granted) end = std::max(end, rec.finish_time);
+  }
+  return end;
+}
+
+MultiTenantSoakCase run_soak_case(std::uint64_t seed,
+                                  const MultiTenantSoakOptions& options,
+                                  recover::Wal* wal,
+                                  const recover::RecoveredControlPlane* resume,
+                                  int snapshot_every_samples) {
   options.validate();
+  GEOMAP_CHECK_ARG(
+      resume == nullptr || (wal != nullptr && options.collector != nullptr),
+      "resuming a soak case requires a WAL and a collector");
   MultiTenantSoakCase result;
   result.seed = seed;
   obs::EventLog* elog =
@@ -49,11 +142,15 @@ MultiTenantSoakCase run_multitenant_soak_case(
   // 1. Substrate + solo baselines.
   Substrate substrate = make_substrate(seed, options.substrate);
   result.tenants = substrate.num_tenants();
+  // case_start first, THEN a resumed run's re-emitted history: incident
+  // building segments the stream at case_start markers, so the
+  // recovered stream must keep the live stream's order.
   if (elog != nullptr) {
     elog->emit(0, obs::EventSeverity::kInfo, "soak", "case_start",
                {obs::field("seed", seed),
                 obs::field("tenants", result.tenants)});
   }
+  if (resume != nullptr) recover::reemit_events(*resume, *elog);
   const net::NetworkModel& network = substrate.tenants.front().problem.network;
 
   // 2. Healthy shared replay calibrates the horizon.
@@ -79,7 +176,8 @@ MultiTenantSoakCase run_multitenant_soak_case(
 
   // 3. Observation run under fire, telemetry on. Force-through keeps the
   //    replay terminating with the primary permanently dead and records
-  //    the link.timeout signals the detector keys on.
+  //    the link.timeout signals the detector keys on. Deterministic, so
+  //    a resumed detector is re-fed the stream the dead process saw.
   obs::Collector telemetry;
   sim::MultiTenantReplayOptions observe;
   observe.rounds = options.app_rounds;
@@ -89,27 +187,80 @@ MultiTenantSoakCase run_multitenant_soak_case(
   // 4. Detect once on the shared timeline; every affected tenant reuses
   //    the same suspect. Fall back to the oracle when detection saw
   //    nothing or accused the wrong site — the storm must run either way.
-  obs::DegradationDetector detector;
-  detector.set_event_log(elog);
-  detector.scan(telemetry.timeline());
-  const core::SuspectVote vote = core::vote_suspected_site(detector.events());
-  result.detected = vote.site != -1;
-  result.suspected_correct = vote.site == chaos_plan.primary_site;
-  const bool usable = result.detected && result.suspected_correct;
-  result.detect_time =
-      usable ? vote.detection_time : chaos_plan.primary_outage_time;
-  const SiteId failed = chaos_plan.primary_site;
-  if (elog != nullptr) {
-    elog->emit(result.detect_time,
-               result.suspected_correct ? obs::EventSeverity::kInfo
-                                        : obs::EventSeverity::kWarn,
-               "soak", "detect",
-               {obs::field("detected", result.detected),
-                obs::field("suspected_correct", result.suspected_correct),
-                obs::field("suspect", vote.site),
-                obs::field("failed_site", failed),
-                obs::field("outage_time", chaos_plan.primary_outage_time)});
+  //    A resume after the durable decision adopts it instead: the
+  //    verdict is already law, re-deciding could only disagree with what
+  //    the storm acted on.
+  recover::DetectDecisionRecord decision;
+  if (resume != nullptr && resume->has_decision) {
+    decision = resume->decision;
+  } else {
+    const std::vector<obs::LinkSample> samples =
+        obs::collect_link_samples(telemetry.timeline());
+    obs::DegradationDetector detector;
+    std::size_t start = 0;
+    if (resume != nullptr) {
+      if (resume->has_detector) detector.restore(resume->detector);
+      GEOMAP_CHECK_ARG(resume->watermark <= samples.size(),
+                       "WAL snapshot watermark " << resume->watermark
+                                                 << " exceeds the recomputed "
+                                                 << samples.size()
+                                                 << "-sample stream");
+      start = resume->watermark;
+    }
+    detector.set_event_log(elog);
+    detector.set_wal(wal);
+    // A compacting snapshot of the detector at a sample watermark.
+    const auto snapshot = [&detector, wal](std::size_t watermark, Seconds t) {
+      recover::SnapshotStateRecord state;
+      state.watermark = watermark;
+      state.has_detector = true;
+      state.detector = detector.checkpoint();
+      wal->snapshot(t, recover::encode_snapshot_state(state));
+    };
+    const std::size_t every =
+        wal != nullptr ? static_cast<std::size_t>(snapshot_every_samples) : 0;
+    for (std::size_t i = start; i < samples.size(); ++i) {
+      obs::feed_sample(detector, samples[i]);
+      if (every > 0 && (i + 1) % every == 0 && i + 1 < samples.size()) {
+        snapshot(i + 1, samples[i].t);
+      }
+    }
+    const core::SuspectVote vote =
+        core::vote_suspected_site(detector.events());
+    decision.detected = vote.site != -1;
+    decision.suspected_correct = vote.site == chaos_plan.primary_site;
+    decision.suspect = vote.site;
+    decision.failed_site = chaos_plan.primary_site;
+    decision.outage_time = chaos_plan.primary_outage_time;
+    const bool usable = decision.detected && decision.suspected_correct;
+    decision.detect_time =
+        usable ? vote.detection_time : chaos_plan.primary_outage_time;
+    // Decision durable before anyone acts on it, then announced.
+    if (wal != nullptr) {
+      wal->append(recover::WalRecordType::kDetectDecision,
+                  decision.detect_time,
+                  recover::encode_detect_decision(decision));
+      wal->sync();
+    }
+    if (elog != nullptr) {
+      elog->emit(decision.detect_time,
+                 decision.suspected_correct ? obs::EventSeverity::kInfo
+                                            : obs::EventSeverity::kWarn,
+                 "soak", "detect",
+                 {obs::field("detected", decision.detected),
+                  obs::field("suspected_correct", decision.suspected_correct),
+                  obs::field("suspect", decision.suspect),
+                  obs::field("failed_site", decision.failed_site),
+                  obs::field("outage_time", decision.outage_time)});
+    }
+    // A snapshot closes the detector phase: recovery after this point
+    // never re-feeds the detector.
+    if (wal != nullptr) snapshot(samples.size(), decision.detect_time);
   }
+  result.detected = decision.detected;
+  result.suspected_correct = decision.suspected_correct;
+  result.detect_time = decision.detect_time;
+  const SiteId failed = chaos_plan.primary_site;
 
   // 5. Every tenant homed on the dead site queues a remap request.
   std::vector<RemapRequest> requests;
@@ -136,6 +287,7 @@ MultiTenantSoakCase run_multitenant_soak_case(
     sched.collector =
         options.collector != nullptr ? options.collector : &telemetry;
   }
+  sched.wal = wal;
 
   // At-grant placements feed the checkers: one storm, so every tenant's
   // journal starts from its substrate placement.
@@ -143,8 +295,44 @@ MultiTenantSoakCase run_multitenant_soak_case(
   initial.reserve(substrate.tenants.size());
   for (const Tenant& t : substrate.tenants) initial.push_back(t.mapping);
 
-  result.storm =
-      run_remap_storm(substrate, chaos_plan.plan, failed, requests, sched);
+  StormResume storm_resume;
+  if (resume != nullptr) {
+    // The durable request tail must be a prefix of the recomputed queue;
+    // requests the dead process never made durable are appended (and
+    // announced) now, exactly once.
+    const std::vector<recover::SchedRequestRecord>& durable = resume->requests;
+    GEOMAP_CHECK_ARG(durable.size() <= requests.size(),
+                     "WAL holds " << durable.size()
+                                  << " remap requests, the recomputed case "
+                                  << "produces only " << requests.size());
+    for (std::size_t i = 0; i < durable.size(); ++i) {
+      GEOMAP_CHECK_ARG(durable[i].tenant == requests[i].tenant,
+                       "WAL request " << i << " names tenant "
+                                      << durable[i].tenant
+                                      << ", recomputed case expects "
+                                      << requests[i].tenant);
+    }
+    for (std::size_t i = durable.size(); i < requests.size(); ++i) {
+      recover::SchedRequestRecord r;
+      r.tenant = requests[i].tenant;
+      r.request_time = requests[i].request_time;
+      r.severity = requests[i].severity;
+      wal->append(recover::WalRecordType::kSchedRequest, r.request_time,
+                  recover::encode_sched_request(r));
+    }
+    if (durable.size() < requests.size()) wal->sync();
+    for (std::size_t i = durable.size(); i < requests.size(); ++i) {
+      elog->emit(requests[i].request_time, obs::EventSeverity::kInfo,
+                 "scheduler", "queue",
+                 {obs::field("tenant", requests[i].tenant),
+                  obs::field("severity", requests[i].severity)});
+    }
+    storm_resume = build_storm_resume(*resume, requests);
+  }
+
+  result.storm = run_remap_storm(substrate, chaos_plan.plan, failed, requests,
+                                 sched,
+                                 resume != nullptr ? &storm_resume : nullptr);
 
   // 6. Certify every granted journal, then the merged cross-tenant view.
   fault::MigrationInvariantOptions inv;
@@ -188,10 +376,7 @@ MultiTenantSoakCase run_multitenant_soak_case(
 
   // Post-recovery stretch: the shared fault-aware replay of the final
   // mappings from the storm's end, against each tenant's solo baseline.
-  Seconds recovery_end = result.detect_time;
-  for (const TenantRecovery& rec : result.storm.recoveries) {
-    if (rec.granted) recovery_end = std::max(recovery_end, rec.finish_time);
-  }
+  const Seconds recovery_end = storm_end_time(result);
   sim::MultiTenantReplayOptions post;
   post.start_time = recovery_end;
   const sim::MultiTenantReplayResult shared =
@@ -254,6 +439,11 @@ MultiTenantSoakCase run_multitenant_soak_case(
     options.collector->incidents().add_totals(result.attribution);
   }
   return result;
+}
+
+MultiTenantSoakCase run_multitenant_soak_case(
+    std::uint64_t seed, const MultiTenantSoakOptions& options) {
+  return run_soak_case(seed, options, nullptr, nullptr);
 }
 
 MultiTenantSoakReport run_multitenant_soak(

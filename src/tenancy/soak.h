@@ -3,7 +3,7 @@
 // 100+ tenants sharing one substrate, under fire, with every journal
 // certified.
 //
-// One case is one complete story:
+// One case is one complete story, and run_soak_case is its only body:
 //
 //   1. make_substrate synthesizes K tenants on a shared cloud and maps
 //      them capacity-aware; solo replays anchor the fairness baseline;
@@ -12,7 +12,8 @@
 //   3. the shared replay reruns under the plan with telemetry on —
 //      force-through delivery records the link.timeout points a
 //      permanently dead region produces;
-//   4. the degradation detector scans the *shared* timeline once;
+//   4. the degradation detector is fed the *shared* timeline's link
+//      samples once, in time order (obs::collect_link_samples);
 //      core::vote_suspected_site names the suspect (falling back to the
 //      oracle when detection saw nothing or accused the wrong site —
 //      recorded honestly, the soak's subject is the scheduler);
@@ -25,9 +26,22 @@
 //      check_cross_tenant_invariants; the post-recovery shared replay
 //      yields per-tenant stretch and Jain's index.
 //
+// The body has two WAL hooks, both nullable. With a recover::Wal it
+// writes every control-plane decision ahead (detector episodes and
+// snapshots at the sample watermark, the durable detection decision
+// before anyone acts on it, the scheduler's queue / grant / journal
+// records). With the replayed control plane of a crashed predecessor it
+// resumes: the announced history is re-emitted after case_start, the
+// detector is restored from its snapshot and re-fed from the watermark
+// (or skipped in favour of the durable decision), and the storm
+// continues via build_storm_resume. run_multitenant_soak_case passes
+// null for both and takes no checkpoints and writes no records;
+// recover::run_recoverable_case owns the WAL itself around the body.
+//
 // Deterministic end to end: every stage is seeded or discrete-event, so
 // one (seed, options) pair always produces byte-identical journals —
-// which is what makes the scheduler-determinism tests meaningful.
+// which is what makes the scheduler-determinism tests meaningful, and
+// what lets a resumed case recompute everything the WAL did not record.
 
 #include <cstdint>
 #include <vector>
@@ -37,6 +51,11 @@
 #include "obs/incident.h"
 #include "tenancy/scheduler.h"
 #include "tenancy/substrate.h"
+
+namespace geomap::recover {
+class Wal;
+struct RecoveredControlPlane;
+}  // namespace geomap::recover
 
 namespace geomap::tenancy {
 
@@ -113,8 +132,37 @@ struct MultiTenantSoakReport {
   obs::AttributionTotals attribution;
 };
 
+/// One soak case without a WAL: run_soak_case(seed, options, nullptr,
+/// nullptr).
 MultiTenantSoakCase run_multitenant_soak_case(
     std::uint64_t seed, const MultiTenantSoakOptions& options);
+
+/// The soak case body (see the header comment). `wal` receives the
+/// case's control-plane records, with a compacting detector snapshot
+/// every `snapshot_every_samples` samples (0: only the post-decision
+/// snapshot). `resume`, the replayed WAL of a crashed predecessor,
+/// continues that run instead of starting afresh; it requires `wal` and
+/// `options.collector`. The caller owns the run's framing records
+/// (run_begin / recovery_begin before, run_end after).
+MultiTenantSoakCase run_soak_case(std::uint64_t seed,
+                                  const MultiTenantSoakOptions& options,
+                                  recover::Wal* wal,
+                                  const recover::RecoveredControlPlane* resume,
+                                  int snapshot_every_samples = 0);
+
+/// When the case's recovery ended: the last granted migration's finish,
+/// or the detection time when nothing was granted.
+Seconds storm_end_time(const MultiTenantSoakCase& c);
+
+/// Shape a replayed control plane into run_remap_storm's resume input:
+/// per-request queue state (attempts consumed, pending backoff timers —
+/// a timer pending at the crash fires exactly once after recovery),
+/// finished grants in WAL order with rebuilt reports, and the
+/// interrupted grant's recorded decision inputs. `requests` must be the
+/// deterministically recomputed request list; run_soak_case validates
+/// the WAL's durable sched_request records to be a prefix of it.
+StormResume build_storm_resume(const recover::RecoveredControlPlane& rcp,
+                               const std::vector<RemapRequest>& requests);
 
 MultiTenantSoakReport run_multitenant_soak(
     const std::vector<std::uint64_t>& seeds,

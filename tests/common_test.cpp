@@ -232,15 +232,33 @@ TEST(Cli, ParsesAllValueForms) {
   EXPECT_TRUE(cli.get_bool("flag"));
 }
 
+// Usage errors print the message and the usage to stderr and exit 2.
 TEST(Cli, RejectsUnknownFlagAndBadValue) {
   CliParser cli("test");
   cli.add_int("count", 1, "");
+  cli.add_bool("flag", false, "");
   const char* bad_flag[] = {"prog", "--nope=1"};
-  EXPECT_THROW(cli.parse(2, const_cast<char**>(bad_flag)), InvalidArgument);
-  CliParser cli2("test");
-  cli2.add_int("count", 1, "");
+  EXPECT_EXIT(cli.parse(2, const_cast<char**>(bad_flag)),
+              ::testing::ExitedWithCode(2), "unknown flag --nope.*Usage:");
   const char* bad_value[] = {"prog", "--count=abc"};
-  EXPECT_THROW(cli2.parse(2, const_cast<char**>(bad_value)), InvalidArgument);
+  EXPECT_EXIT(cli.parse(2, const_cast<char**>(bad_value)),
+              ::testing::ExitedWithCode(2),
+              "bad value 'abc' for flag --count.*Usage:");
+  const char* bad_bool[] = {"prog", "--flag=maybe"};
+  EXPECT_EXIT(cli.parse(2, const_cast<char**>(bad_bool)),
+              ::testing::ExitedWithCode(2), "bad value 'maybe' for flag --flag");
+  const char* positional[] = {"prog", "stray"};
+  EXPECT_EXIT(cli.parse(2, const_cast<char**>(positional)),
+              ::testing::ExitedWithCode(2), "unexpected argument: stray");
+}
+
+TEST(Cli, MissingValueExitsTwoWithUsage) {
+  CliParser cli("test");
+  cli.add_int("soak", 0, "cases to run");
+  const char* argv[] = {"prog", "--soak"};
+  EXPECT_EXIT(cli.parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "flag --soak needs a value.*Usage:.*--soak");
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "apps/app.h"
 #include "common/stats.h"
@@ -25,6 +26,16 @@
 
 namespace geomap {
 namespace {
+
+// gtest names each MapperAppMatrix case after the raw bytes of its
+// parameter, and the first eight are the heap address of gtest's copy of
+// MapperCase::name. With address randomisation off, that address follows
+// from the image size and every allocation made before the suite
+// registers. This reservation keeps it, and so the reported case names,
+// where they were before the WAL equivalence tests joined the binary.
+// A PrintTo for MapperCase would end the dependence but rename all 64
+// cases; ROADMAP.md tracks it.
+const std::vector<char> kNamePad(0x68E8);
 
 struct MapperCase {
   std::string name;

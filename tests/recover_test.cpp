@@ -1,7 +1,7 @@
 // Crash-consistent control plane: WAL format and durability model,
 // payload codec round-trips against the live emitters, crash-point
-// injection, recovery replay, the requeue-timer-fires-once guarantee,
-// and the exhaustive kill-at-every-point matrix.
+// injection, recovery replay, the recoverable case against the plain
+// one, and the exhaustive kill-at-every-point matrix.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fault/crash.h"
@@ -24,8 +26,7 @@
 #include "recover/records.h"
 #include "recover/recovery.h"
 #include "recover/wal.h"
-#include "tenancy/scheduler.h"
-#include "tenancy/substrate.h"
+#include "tenancy/soak.h"
 #include "test_util.h"
 
 namespace geomap::recover {
@@ -122,6 +123,28 @@ TEST(WalTest, AppendSyncRoundTripAndUnsyncedLoss) {
   EXPECT_EQ(rq.request_time, 1.5);
   EXPECT_EQ(rq.severity, 0.25);
   EXPECT_EQ(rec.next_lsn, 3u);
+}
+
+TEST(RecoverCodecTest, RunBeginSeedRoundTripsExactly) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, kTwo53, kTwo53 + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    RunBeginRecord rb = small_run();
+    rb.seed = seed;
+    EXPECT_EQ(decode_run_begin(encode_run_begin(rb)).seed, seed);
+  }
+  // Today's text decodes as before; a seed that is not an unsigned
+  // integer is corruption, not a silently rounded or undefined cast.
+  EXPECT_EQ(decode_run_begin(
+                R"({"seed":17,"tenants":4,"sites":3,"policy":"fifo"})")
+                .seed,
+            17u);
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    const std::string payload = std::string(R"({"seed":)") + bad +
+                                R"(,"tenants":4,"sites":3,"policy":"fifo"})";
+    EXPECT_THROW(decode_run_begin(payload), WalCorrupt) << bad;
+  }
 }
 
 TEST(WalTest, NewGenerationStartsFreshSegmentWithMonotonicLsns) {
@@ -337,6 +360,21 @@ TEST(RecoverCodecTest, DetectorWalRecordsMatchItsEpisodes) {
   }
 }
 
+void expect_same_episodes(const std::vector<obs::DegradationEvent>& got,
+                          const std::vector<obs::DegradationEvent>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].src, expected[i].src);
+    EXPECT_EQ(got[i].dst, expected[i].dst);
+    EXPECT_EQ(got[i].kind, expected[i].kind);
+    EXPECT_EQ(got[i].onset_vtime, expected[i].onset_vtime);
+    EXPECT_EQ(got[i].detect_vtime, expected[i].detect_vtime);
+    EXPECT_EQ(got[i].end_vtime, expected[i].end_vtime);
+    EXPECT_EQ(got[i].severity, expected[i].severity);
+    EXPECT_EQ(got[i].confidence, expected[i].confidence);
+  }
+}
+
 TEST(RecoverCodecTest, DetectorCheckpointSplitFeedIsEquivalent) {
   std::vector<obs::LinkSample> samples;
   for (int i = 0; i < 4; ++i) {
@@ -347,10 +385,38 @@ TEST(RecoverCodecTest, DetectorCheckpointSplitFeedIsEquivalent) {
   }
   samples.push_back({2, 3, 2, 5.0, 0.0});
   samples.push_back({1, 2, 1, 6.0, 2.0});
+  // Interleaved episodes on further links: a latency excursion on 1->0
+  // overlapping 0->1's, and a retry burst that escalates on 3->1.
+  for (int i = 0; i < 20; ++i) {
+    samples.push_back(
+        {1, 0, 0, 0.5 + static_cast<Seconds>(i), i < 6 ? 4.0 : 1.0});
+  }
+  for (int i = 0; i < 6; ++i) {
+    samples.push_back({3, 1, 1, 2.25 + 0.5 * i, 1.0});
+  }
+  samples.push_back({3, 1, 2, 9.0, 0.0});
+
+  // Time order (collect_link_samples' order, the one every caller feeds)
+  // and link-major order must agree: link state is independent.
+  std::sort(samples.begin(), samples.end(),
+            [](const obs::LinkSample& a, const obs::LinkSample& b) {
+              return std::tie(a.t, a.src, a.dst, a.signal, a.value) <
+                     std::tie(b.t, b.src, b.dst, b.signal, b.value);
+            });
+  std::vector<obs::LinkSample> link_major = samples;
+  std::stable_sort(link_major.begin(), link_major.end(),
+                   [](const obs::LinkSample& a, const obs::LinkSample& b) {
+                     return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+                   });
+  ASSERT_NE(link_major[1].t, samples[1].t);  // the orders differ
 
   obs::DegradationDetector full;
   for (const obs::LinkSample& s : samples) obs::feed_sample(full, s);
   const std::vector<obs::DegradationEvent> expected = full.events();
+  ASSERT_GE(expected.size(), 4u);
+  obs::DegradationDetector by_link;
+  for (const obs::LinkSample& s : link_major) obs::feed_sample(by_link, s);
+  expect_same_episodes(by_link.events(), expected);
 
   for (const std::size_t split : {std::size_t{0}, std::size_t{5},
                                   std::size_t{13}, std::size_t{27},
@@ -362,18 +428,8 @@ TEST(RecoverCodecTest, DetectorCheckpointSplitFeedIsEquivalent) {
     for (std::size_t i = split; i < samples.size(); ++i) {
       obs::feed_sample(b, samples[i]);
     }
-    const std::vector<obs::DegradationEvent> got = b.events();
-    ASSERT_EQ(got.size(), expected.size()) << "split at " << split;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].src, expected[i].src);
-      EXPECT_EQ(got[i].dst, expected[i].dst);
-      EXPECT_EQ(got[i].kind, expected[i].kind);
-      EXPECT_EQ(got[i].onset_vtime, expected[i].onset_vtime);
-      EXPECT_EQ(got[i].detect_vtime, expected[i].detect_vtime);
-      EXPECT_EQ(got[i].end_vtime, expected[i].end_vtime);
-      EXPECT_EQ(got[i].severity, expected[i].severity);
-      EXPECT_EQ(got[i].confidence, expected[i].confidence);
-    }
+    SCOPED_TRACE("split at " + std::to_string(split));
+    expect_same_episodes(b.events(), expected);
   }
 }
 
@@ -436,103 +492,6 @@ TEST(RecoverCodecTest, ExecutorWalJournalRoundTripsAndRebuilds) {
   EXPECT_EQ(rebuilt.bytes_sent, report.bytes_sent);
   EXPECT_EQ(rebuilt.max_downtime, report.max_downtime);
   EXPECT_EQ(rebuilt.total_downtime, report.total_downtime);
-}
-
-// ---------------------------------------------------------------------------
-// The requeue-timer guarantee (a backoff timer pending at the crash
-// fires exactly once after recovery)
-
-TEST(RecoverStormTest, RequeuedRetryTimerFiresExactlyOnceAfterRecovery) {
-  tenancy::SubstrateOptions sub;
-  sub.num_sites = 4;
-  sub.num_tenants = 6;
-  const auto doctored = [&sub]() {
-    tenancy::Substrate s = tenancy::make_substrate(17, sub);
-    // No free slot anywhere: every remap attempt is infeasible forever.
-    s.site_capacities = s.residents();
-    return s;
-  };
-  tenancy::Substrate probe = doctored();
-  const std::vector<int> residents = probe.residents();
-  const SiteId failed = static_cast<SiteId>(std::distance(
-      residents.begin(),
-      std::max_element(residents.begin(), residents.end())));
-  fault::FaultPlan plan;
-  plan.add_site_outage(failed, 1.0);
-
-  std::vector<tenancy::RemapRequest> requests;
-  for (const tenancy::Tenant& t : probe.tenants) {
-    int stranded = 0;
-    for (const SiteId s : t.mapping) {
-      if (s == failed) stranded += 1;
-    }
-    if (stranded == 0) continue;
-    tenancy::RemapRequest r;
-    r.tenant = t.id;
-    r.request_time = 1.0;
-    r.severity = static_cast<double>(stranded) /
-                 static_cast<double>(t.mapping.size());
-    requests.push_back(r);
-  }
-  ASSERT_FALSE(requests.empty());
-  requests.resize(1);
-
-  tenancy::SchedulerOptions options;
-  options.migrate.bytes_per_process = 2.0 * kMiB;
-  options.migrate.chunk_bytes = 512.0 * 1024;
-  options.remap.bytes_per_process = 2.0 * kMiB;
-  options.retry.max_attempts = 3;
-  options.retry.initial_backoff = 0.5;
-
-  // Uninterrupted baseline: 3 attempts, 2 requeues, then give-up.
-  tenancy::Substrate base_sub = doctored();
-  const tenancy::StormReport baseline =
-      tenancy::run_remap_storm(base_sub, plan, failed, requests, options);
-  ASSERT_EQ(baseline.recoveries.size(), 1u);
-  ASSERT_EQ(baseline.recoveries[0].attempts, 3);
-  ASSERT_EQ(baseline.requeues, 2);
-
-  // Kill the scheduler at the give-up append: both requeues (and their
-  // backoff timers) are durable, the give-up is not.
-  TempDir dir("geomap-recover-requeue-timer");
-  {
-    tenancy::Substrate crash_sub = doctored();
-    Wal wal(dir.str(), nofsync());
-    tenancy::SchedulerOptions crashing = options;
-    crashing.wal = &wal;
-    CrashInjector::instance().arm("wal.append.sched_give_up.before");
-    EXPECT_THROW(tenancy::run_remap_storm(crash_sub, plan, failed, requests,
-                                          crashing),
-                 CrashTriggered);
-  }
-
-  const RecoveredControlPlane rcp = replay_wal(read_wal(dir.str()).records);
-  ASSERT_EQ(rcp.requests.size(), 1u);
-  ASSERT_EQ(rcp.requeues.size(), 2u);
-  EXPECT_TRUE(rcp.give_ups.empty());
-  EXPECT_TRUE(rcp.grants.empty());
-  EXPECT_FALSE(rcp.has_interrupted);
-
-  const tenancy::StormResume resume = build_storm_resume(rcp, requests);
-  ASSERT_EQ(resume.pending.size(), 1u);
-  EXPECT_EQ(resume.pending[0].attempts, 2);
-  EXPECT_FALSE(resume.pending[0].done);
-  // The pending backoff timer survives at its recorded instant...
-  EXPECT_EQ(resume.pending[0].next_eligible, rcp.requeues[1].next_eligible);
-
-  // ...and fires exactly once: the resumed storm consumes attempt 3 and
-  // gives up with the baseline's exact counters. A re-fired timer would
-  // show up as extra attempts/requeues; a lost one as a hung request.
-  tenancy::Substrate resumed_sub = doctored();
-  const tenancy::StormReport resumed = tenancy::run_remap_storm(
-      resumed_sub, plan, failed, requests, options, &resume);
-  ASSERT_EQ(resumed.recoveries.size(), 1u);
-  EXPECT_EQ(resumed.recoveries[0].attempts, 3);
-  EXPECT_TRUE(resumed.recoveries[0].gave_up);
-  EXPECT_FALSE(resumed.recoveries[0].granted);
-  EXPECT_EQ(resumed.requeues, 2);
-  EXPECT_EQ(resumed.gave_up, 1);
-  EXPECT_EQ(resumed.storm_drain_seconds, baseline.storm_drain_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -631,6 +590,81 @@ TEST(RecoverDriverTest, ExhaustiveCrashMatrixIsClean) {
       EXPECT_TRUE(c.fired) << c.point;
     }
   }
+}
+
+/// A case's events without sequence numbers, in canonical order — the
+/// content a live run and a WAL run must agree on.
+std::vector<std::string> canonical_events(const obs::Collector& c) {
+  std::vector<std::string> lines;
+  for (obs::Event e : c.events().events_since(0)) {
+    e.seq = 0;
+    lines.push_back(obs::event_to_json(e));
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(RecoverDriverTest, FreshWalCaseEqualsThePlainCase) {
+  for (const std::uint64_t seed : {1ULL, 3ULL, 17ULL, 2017ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TempDir dir("geomap-recover-driver-plain-" + std::to_string(seed));
+    obs::Collector wal_obs;
+    const RecoverableSoakOptions ro = small_recoverable(dir.str(), &wal_obs);
+    const tenancy::MultiTenantSoakCase w =
+        run_recoverable_case(seed, ro).soak_case;
+
+    obs::Collector plain_obs;
+    tenancy::MultiTenantSoakOptions po = ro.soak;
+    po.collector = &plain_obs;
+    const tenancy::MultiTenantSoakCase p =
+        tenancy::run_multitenant_soak_case(seed, po);
+
+    EXPECT_EQ(w.detected, p.detected);
+    EXPECT_EQ(w.suspected_correct, p.suspected_correct);
+    EXPECT_EQ(w.detect_time, p.detect_time);
+    EXPECT_EQ(w.requests, p.requests);
+    EXPECT_EQ(w.storm.grant_order, p.storm.grant_order);
+    EXPECT_EQ(w.storm.requeues, p.storm.requeues);
+    EXPECT_EQ(w.storm.gave_up, p.storm.gave_up);
+    EXPECT_EQ(w.storm.storm_drain_seconds, p.storm.storm_drain_seconds);
+    EXPECT_EQ(w.invariants_checked, p.invariants_checked);
+    EXPECT_EQ(w.violations.size(), p.violations.size());
+    EXPECT_EQ(w.fairness.stretch, p.fairness.stretch);
+    EXPECT_EQ(w.fairness.jain_index, p.fairness.jain_index);
+    EXPECT_EQ(w.incidents.size(), p.incidents.size());
+    EXPECT_EQ(w.attribution_scored, p.attribution_scored);
+    EXPECT_EQ(w.attribution.incidents, p.attribution.incidents);
+    EXPECT_EQ(w.attribution.blamed, p.attribution.blamed);
+    EXPECT_EQ(w.attribution.correctly_blamed, p.attribution.correctly_blamed);
+    EXPECT_EQ(w.attribution.episodes, p.attribution.episodes);
+    EXPECT_EQ(w.attribution.attributed, p.attribution.attributed);
+    EXPECT_EQ(w.attribution.onset_error_sum, p.attribution.onset_error_sum);
+    EXPECT_EQ(canonical_events(wal_obs), canonical_events(plain_obs));
+  }
+}
+
+TEST(RecoverDriverTest, SeedAboveTwoToThe53Resumes) {
+  const std::uint64_t seed = (std::uint64_t{1} << 53) + 1;
+  TempDir base_dir("geomap-recover-driver-big-seed-base");
+  obs::Collector cb;
+  const RecoverableCaseResult fresh =
+      run_recoverable_case(seed, small_recoverable(base_dir.str(), &cb));
+  EXPECT_FALSE(fresh.resumed);
+
+  TempDir crash_dir("geomap-recover-driver-big-seed-crash");
+  {
+    obs::Collector dead;
+    CrashInjector::instance().arm("wal.append.detect_decision.before");
+    EXPECT_THROW(
+        run_recoverable_case(seed, small_recoverable(crash_dir.str(), &dead)),
+        CrashTriggered);
+  }
+  obs::Collector recovered;
+  const RecoverableCaseResult r =
+      run_recoverable_case(seed, small_recoverable(crash_dir.str(), &recovered));
+  EXPECT_TRUE(r.resumed);
+  EXPECT_TRUE(r.recovery_violations.empty()) << r.recovery_violations.front();
+  EXPECT_EQ(r.digest, fresh.digest);
 }
 
 TEST(RecoverDriverTest, DeterministicEventStreamSurvivesACrash) {

@@ -1,22 +1,27 @@
 // Multi-tenant substrate (src/tenancy): shared-link replay semantics,
 // the remap wait-and-retry path (both outcomes), scheduler determinism
 // and tie-breaking, storm queue-and-retry drain, cross-tenant
-// invariants, and the soak harness end to end.
+// invariants, resuming a storm from a replayed WAL, and the soak harness
+// end to end.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "core/remap.h"
 #include "fault/chaos.h"
+#include "fault/crash.h"
 #include "fault/degraded_network.h"
 #include "fault/fault_plan.h"
 #include "obs/collector.h"
 #include "obs/detector.h"
 #include "obs/timeseries.h"
+#include "recover/recovery.h"
+#include "recover/wal.h"
 #include "sim/netsim.h"
 #include "tenancy/scheduler.h"
 #include "tenancy/soak.h"
@@ -411,6 +416,109 @@ TEST(SchedulerTest, FairShareValidateRejectsZeroRefill) {
   options.policy = SchedulerPolicy::kFairShare;
   options.token_refill_per_second = 0.0;
   EXPECT_THROW(options.validate(), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// The requeue-timer guarantee (a backoff timer pending at the crash
+// fires exactly once after recovery)
+
+TEST(RecoverStormTest, RequeuedRetryTimerFiresExactlyOnceAfterRecovery) {
+  SubstrateOptions sub;
+  sub.num_sites = 4;
+  sub.num_tenants = 6;
+  const auto doctored = [&sub]() {
+    Substrate s = make_substrate(17, sub);
+    // No free slot anywhere: every remap attempt is infeasible forever.
+    s.site_capacities = s.residents();
+    return s;
+  };
+  Substrate probe = doctored();
+  const std::vector<int> residents = probe.residents();
+  const SiteId failed = static_cast<SiteId>(std::distance(
+      residents.begin(),
+      std::max_element(residents.begin(), residents.end())));
+  fault::FaultPlan plan;
+  plan.add_site_outage(failed, 1.0);
+
+  std::vector<RemapRequest> requests;
+  for (const Tenant& t : probe.tenants) {
+    int stranded = 0;
+    for (const SiteId s : t.mapping) {
+      if (s == failed) stranded += 1;
+    }
+    if (stranded == 0) continue;
+    RemapRequest r;
+    r.tenant = t.id;
+    r.request_time = 1.0;
+    r.severity = static_cast<double>(stranded) /
+                 static_cast<double>(t.mapping.size());
+    requests.push_back(r);
+  }
+  ASSERT_FALSE(requests.empty());
+  requests.resize(1);
+
+  SchedulerOptions options;
+  options.migrate.bytes_per_process = 2.0 * kMiB;
+  options.migrate.chunk_bytes = 512.0 * 1024;
+  options.remap.bytes_per_process = 2.0 * kMiB;
+  options.retry.max_attempts = 3;
+  options.retry.initial_backoff = 0.5;
+
+  // Uninterrupted baseline: 3 attempts, 2 requeues, then give-up.
+  Substrate base_sub = doctored();
+  const StormReport baseline =
+      run_remap_storm(base_sub, plan, failed, requests, options);
+  ASSERT_EQ(baseline.recoveries.size(), 1u);
+  ASSERT_EQ(baseline.recoveries[0].attempts, 3);
+  ASSERT_EQ(baseline.requeues, 2);
+
+  // Kill the scheduler at the give-up append: both requeues (and their
+  // backoff timers) are durable, the give-up is not.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "geomap-tenancy-requeue-timer";
+  std::filesystem::remove_all(dir);
+  {
+    Substrate crash_sub = doctored();
+    recover::WalOptions nofsync;
+    nofsync.fsync = false;
+    recover::Wal wal(dir.string(), nofsync);
+    SchedulerOptions crashing = options;
+    crashing.wal = &wal;
+    fault::CrashInjector::instance().arm("wal.append.sched_give_up.before");
+    EXPECT_THROW(
+        run_remap_storm(crash_sub, plan, failed, requests, crashing),
+        fault::CrashTriggered);
+  }
+
+  const recover::RecoveredControlPlane rcp =
+      recover::replay_wal(recover::read_wal(dir.string()).records);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(rcp.requests.size(), 1u);
+  ASSERT_EQ(rcp.requeues.size(), 2u);
+  EXPECT_TRUE(rcp.give_ups.empty());
+  EXPECT_TRUE(rcp.grants.empty());
+  EXPECT_FALSE(rcp.has_interrupted);
+
+  const StormResume resume = build_storm_resume(rcp, requests);
+  ASSERT_EQ(resume.pending.size(), 1u);
+  EXPECT_EQ(resume.pending[0].attempts, 2);
+  EXPECT_FALSE(resume.pending[0].done);
+  // The pending backoff timer survives at its recorded instant...
+  EXPECT_EQ(resume.pending[0].next_eligible, rcp.requeues[1].next_eligible);
+
+  // ...and fires exactly once: the resumed storm consumes attempt 3 and
+  // gives up with the baseline's exact counters. A re-fired timer would
+  // show up as extra attempts/requeues; a lost one as a hung request.
+  Substrate resumed_sub = doctored();
+  const StormReport resumed =
+      run_remap_storm(resumed_sub, plan, failed, requests, options, &resume);
+  ASSERT_EQ(resumed.recoveries.size(), 1u);
+  EXPECT_EQ(resumed.recoveries[0].attempts, 3);
+  EXPECT_TRUE(resumed.recoveries[0].gave_up);
+  EXPECT_FALSE(resumed.recoveries[0].granted);
+  EXPECT_EQ(resumed.requeues, 2);
+  EXPECT_EQ(resumed.gave_up, 1);
+  EXPECT_EQ(resumed.storm_drain_seconds, baseline.storm_drain_seconds);
 }
 
 // ---------------------------------------------------------------------------
