@@ -361,19 +361,6 @@ struct WalArchive {
   bool roundtrip_ok = false;
 };
 
-recover::WalRecordType mig_type(fault::MigrationEventKind kind) {
-  using T = recover::WalRecordType;
-  switch (kind) {
-    case fault::MigrationEventKind::kReserve: return T::kMigReserve;
-    case fault::MigrationEventKind::kRelease: return T::kMigRelease;
-    case fault::MigrationEventKind::kChunk: return T::kMigChunk;
-    case fault::MigrationEventKind::kCommit: return T::kMigCommit;
-    case fault::MigrationEventKind::kRollback: return T::kMigRollback;
-    case fault::MigrationEventKind::kReplan: return T::kMigReplan;
-  }
-  return T::kMigReserve;
-}
-
 WalArchive archive_case_wal(const std::string& dir,
                             const migrate::SoakCase& c) {
   WalArchive a;
@@ -404,7 +391,8 @@ WalArchive archive_case_wal(const std::string& dir,
       recover::MigRecord m;
       m.tenant = 0;
       m.event = e;
-      wal.append(mig_type(e.kind), e.t, recover::encode_mig(m));
+      wal.append(migrate::mig_record_type(e.kind), e.t,
+                 recover::encode_mig(m));
       last = std::max(last, e.t);
     }
     wal.append(recover::WalRecordType::kRunEnd, last, "{}");

@@ -177,6 +177,8 @@ run_profile_gate() {
   GEOMAP_PROFILE_DETERMINISTIC=1 "$BUILD_DIR/bench/bench_fig7_scale" "$@" \
     --obs-dir "$OUT_DIR/$name" > "$OUT_DIR/$name/stdout.txt"
   "$OBSCTL" profile "$OUT_DIR/$name/profile.json" > /dev/null || FAILED=1
+  "$OBSCTL" profile "$OUT_DIR/$name/profile.json" --collapse \
+    > "$OUT_DIR/$name/profile.collapsed" || FAILED=1
   [[ -s "$OUT_DIR/$name/profile.collapsed" ]] \
     || { echo "empty $OUT_DIR/$name/profile.collapsed" >&2; FAILED=1; }
   if [[ $BLESS -eq 1 ]]; then

@@ -27,7 +27,8 @@
 //                                      to the root's measured wall).
 //                                      --collapse re-emits the tree as
 //                                      collapsed-stack lines (flamegraph.pl
-//                                      / speedscope input).
+//                                      / speedscope input; the only
+//                                      collapsed-stack writer).
 //   profile diff <baseline> <current>  diff/check specialized to profile
 //                                      artifacts: watches the deterministic
 //                                      leaves (counters, calls, peak bytes)
@@ -53,9 +54,11 @@
 //                                      form; --gate exits 1 when any SLO
 //                                      blew its budget.
 //   watch <obs-dir>                    periodically re-render a live
-//                                      --obs-dir (event tail, SLO burn,
-//                                      timeline lanes, incident verdicts)
-//                                      — artifacts land via tmp+rename so
+//                                      --obs-dir from its events.jsonl
+//                                      (event tail, SLO burn),
+//                                      timeline.json (lanes) and
+//                                      incidents.json (verdicts) —
+//                                      artifacts land via tmp+rename so
 //                                      a mid-run read is never torn; each
 //                                      artifact that is missing or
 //                                      mid-checkpoint is reported as
@@ -108,6 +111,7 @@
 #include "obs/critpath.h"
 #include "obs/eventlog.h"
 #include "obs/incident.h"
+#include "obs/profile.h"
 #include "obs/regress.h"
 #include "recover/recovery.h"
 #include "obs/slo.h"
@@ -175,9 +179,15 @@ int usage(std::ostream& os, int code) {
         "  --json            emit the slo.json artifact form\n"
         "  --gate            exit 1 when any SLO blew its error budget\n"
         "\n"
-        "Flags for watch:\n"
+        "Flags for watch (reads events.jsonl, timeline.json, "
+        "incidents.json;\n"
+        "a missing or mid-checkpoint artifact renders as pending):\n"
         "  --once            render one tick and exit (same as "
         "--iterations 1)\n"
+        "  --tail K          last K events and incidents shown "
+        "(default 8)\n"
+        "  --interval, --iterations, --severity, --series and --width "
+        "as above\n"
         "\n"
         "Flags for wal:\n"
         "  --verify          run the recovery invariant audit; exit 1 "
@@ -1344,20 +1354,6 @@ int cmd_watch(const std::vector<std::string>& args) {
       std::cout << "events.jsonl: pending (" << e.what() << ")\n";
     }
     try {
-      std::ifstream prom(dir + "/metrics.prom");
-      if (prom.good()) {
-        int families = 0;
-        std::string line;
-        while (std::getline(prom, line))
-          if (line.rfind("# TYPE ", 0) == 0) ++families;
-        std::cout << "metrics.prom: " << families << " metric families\n";
-      } else {
-        std::cout << "metrics.prom: pending\n";
-      }
-    } catch (const std::exception&) {
-      std::cout << "metrics.prom: pending\n";
-    }
-    try {
       render_timeline(parse_json_file(dir + "/timeline.json"), tl);
     } catch (const std::exception&) {
       std::cout << "timeline.json: pending\n";
@@ -1633,50 +1629,6 @@ int cmd_compare(const std::vector<std::string>& args, bool gate,
 // ---------------------------------------------------------------------------
 // profile
 
-struct ProfileNode {
-  std::string name;
-  double wall = 0, cpu = 0, excl = 0;
-  std::uint64_t calls = 0;
-  std::vector<std::pair<std::string, double>> counters;
-  std::vector<ProfileNode> children;
-};
-
-ProfileNode parse_profile_node(const std::string& name, const JsonValue& v) {
-  ProfileNode n;
-  n.name = name;
-  n.wall = v.number_or("wall_seconds", 0);
-  n.cpu = v.number_or("cpu_seconds", 0);
-  n.excl = v.number_or("exclusive_seconds", 0);
-  n.calls = static_cast<std::uint64_t>(v.number_or("calls", 0));
-  if (const JsonValue* cs = v.find("counters")) {
-    for (const auto& [key, c] : cs->members())
-      if (c.is_number()) n.counters.emplace_back(key, c.as_number());
-  }
-  if (const JsonValue* ch = v.find("children")) {
-    for (const auto& [key, c] : ch->members())
-      n.children.push_back(parse_profile_node(key, c));
-  }
-  return n;
-}
-
-bool profile_has_time(const ProfileNode& n) {
-  if (n.wall > 0) return true;
-  for (const ProfileNode& c : n.children)
-    if (profile_has_time(c)) return true;
-  return false;
-}
-
-void emit_collapsed(std::ostream& os, const ProfileNode& n,
-                    const std::string& prefix, bool use_calls) {
-  const std::string path = prefix.empty() ? n.name : prefix + ";" + n.name;
-  const auto weight =
-      use_calls ? static_cast<long long>(n.calls)
-                : std::llround(std::max(0.0, n.excl) * 1e6);
-  if (weight > 0) os << path << " " << weight << "\n";
-  for (const ProfileNode& c : n.children)
-    emit_collapsed(os, c, path, use_calls);
-}
-
 std::string format_bytes(double bytes) {
   if (bytes >= 1024.0 * 1024.0)
     return format_double(bytes / (1024.0 * 1024.0), 2) + " MiB";
@@ -1718,16 +1670,12 @@ int cmd_profile(const std::vector<std::string>& args) {
   if (path.empty()) return usage(std::cerr, 2);
 
   const JsonValue doc = parse_json_file(path);
-  const JsonValue* tree = doc.find("tree");
-  GEOMAP_CHECK_ARG(tree != nullptr && tree->is_object(),
-                   "not a profile artifact (no top-level 'tree' object)");
-  const ProfileNode root = parse_profile_node("run", *tree);
-  const bool use_calls = !profile_has_time(root);
-
+  const obs::PhaseSnapshot root = obs::profile_from_json(doc);
   if (collapse) {
-    emit_collapsed(std::cout, root, "", use_calls);
+    obs::write_collapsed(std::cout, root);
     return 0;
   }
+  const bool use_calls = !root.has_time();
 
   const JsonValue* det = doc.find("deterministic");
   const bool deterministic =
@@ -1739,23 +1687,24 @@ int cmd_profile(const std::vector<std::string>& args) {
 
   Table phases({"phase", "wall s", "cpu s", "excl s", "excl %", "calls",
                 "counters"});
-  const double root_wall = root.wall;
-  const auto render = [&](const auto& self, const ProfileNode& n,
+  const double root_wall = root.wall_seconds;
+  const auto render = [&](const auto& self, const obs::PhaseSnapshot& n,
                           int depth) -> void {
     std::string counters;
     for (const auto& [key, value] : n.counters) {
       if (!counters.empty()) counters += "  ";
-      counters += key + "=" + format_double(value, 0);
+      counters += key + "=" + format_double(static_cast<double>(value), 0);
     }
     phases.row()
         .cell(std::string(static_cast<std::size_t>(depth) * 2, ' ') + n.name)
-        .cell(n.wall, 6)
-        .cell(n.cpu, 6)
-        .cell(n.excl, 6)
-        .cell(root_wall > 0 ? 100.0 * n.excl / root_wall : 0.0, 1)
+        .cell(n.wall_seconds, 6)
+        .cell(n.cpu_seconds, 6)
+        .cell(n.exclusive_seconds(), 6)
+        .cell(root_wall > 0 ? 100.0 * n.exclusive_seconds() / root_wall : 0.0,
+              1)
         .cell(static_cast<long long>(n.calls))
         .cell(counters);
-    for (const ProfileNode& c : n.children) self(self, c, depth + 1);
+    for (const obs::PhaseSnapshot& c : n.children) self(self, c, depth + 1);
   };
   render(render, root, 0);
   phases.print(std::cout);
@@ -1763,9 +1712,9 @@ int cmd_profile(const std::vector<std::string>& args) {
   // The telescoping invariant the profiler promises: per-node exclusive
   // times re-fold exactly to the root's measured wall.
   double refold = 0;
-  const auto fold = [&](const auto& self, const ProfileNode& n) -> void {
-    refold += n.excl;
-    for (const ProfileNode& c : n.children) self(self, c);
+  const auto fold = [&](const auto& self, const obs::PhaseSnapshot& n) -> void {
+    refold += n.exclusive_seconds();
+    for (const obs::PhaseSnapshot& c : n.children) self(self, c);
   };
   fold(fold, root);
   const double delta_pct =
@@ -1775,19 +1724,20 @@ int cmd_profile(const std::vector<std::string>& args) {
             << " s (delta " << format_double(delta_pct, 3) << " %)\n\n";
 
   if (top > 0) {
-    std::vector<std::pair<std::string, const ProfileNode*>> leaves;
-    const auto collect = [&](const auto& self, const ProfileNode& n,
+    std::vector<std::pair<std::string, const obs::PhaseSnapshot*>> leaves;
+    const auto collect = [&](const auto& self, const obs::PhaseSnapshot& n,
                              const std::string& prefix) -> void {
       const std::string p =
           prefix.empty() ? n.name : prefix + ";" + n.name;
       leaves.emplace_back(p, &n);
-      for (const ProfileNode& c : n.children) self(self, c, p);
+      for (const obs::PhaseSnapshot& c : n.children) self(self, c, p);
     };
     collect(collect, root, "");
     std::stable_sort(leaves.begin(), leaves.end(),
                      [&](const auto& x, const auto& y) {
                        return use_calls ? x.second->calls > y.second->calls
-                                        : x.second->excl > y.second->excl;
+                                        : x.second->exclusive_seconds() >
+                                              y.second->exclusive_seconds();
                      });
     if (leaves.size() > static_cast<std::size_t>(top))
       leaves.resize(static_cast<std::size_t>(top));
@@ -1795,8 +1745,10 @@ int cmd_profile(const std::vector<std::string>& args) {
     for (const auto& [p, n] : leaves) {
       hot.row()
           .cell(p)
-          .cell(n->excl, 6)
-          .cell(root_wall > 0 ? 100.0 * n->excl / root_wall : 0.0, 1)
+          .cell(n->exclusive_seconds(), 6)
+          .cell(root_wall > 0 ? 100.0 * n->exclusive_seconds() / root_wall
+                              : 0.0,
+                1)
           .cell(static_cast<long long>(n->calls));
     }
     print_banner(std::cout,

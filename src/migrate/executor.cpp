@@ -256,65 +256,26 @@ class Engine {
 
   void journal(fault::MigrationEventKind kind, Seconds t, ProcessId p,
                SiteId from, SiteId to, Bytes bytes = 0) {
-    // Protocol transitions also stream to the event log (independent of
-    // record_events — the journal is the certification input, the event
-    // log the live feed). Chunk landings are dense wire traffic and stay
-    // out; the timeline series already carry them.
-    if (elog_ != nullptr && kind != fault::MigrationEventKind::kChunk) {
-      const bool trouble = kind == fault::MigrationEventKind::kRollback ||
-                           kind == fault::MigrationEventKind::kReplan;
-      std::vector<obs::EventField> fields;
-      fields.reserve(4);
-      fields.push_back(obs::field("process", p));
-      fields.push_back(obs::field("from", from));
-      fields.push_back(obs::field("to", to));
-      if (kind == fault::MigrationEventKind::kCommit && p >= 0)
-        fields.push_back(obs::field("downtime", record(p).downtime));
-      elog_->emit(t,
-                  trouble ? obs::EventSeverity::kWarn : obs::EventSeverity::kInfo,
-                  "migrate", fault::to_string(kind), std::move(fields));
-    }
-    if (options_.wal != nullptr) {
-      // Payload must stay byte-identical to recover::encode_mig (the
-      // round-trip test pins them); non-chunk transitions sync so the
-      // record is durable before the engine acts on it. Chunk records
-      // ride along with the next sync — losing an unsynced chunk tail
-      // only under-counts copy progress, which redo re-sends anyway.
-      recover::WalRecordType wtype = recover::WalRecordType::kMigChunk;
-      switch (kind) {
-        case fault::MigrationEventKind::kReserve:
-          wtype = recover::WalRecordType::kMigReserve;
-          break;
-        case fault::MigrationEventKind::kRelease:
-          wtype = recover::WalRecordType::kMigRelease;
-          break;
-        case fault::MigrationEventKind::kChunk:
-          wtype = recover::WalRecordType::kMigChunk;
-          break;
-        case fault::MigrationEventKind::kCommit:
-          wtype = recover::WalRecordType::kMigCommit;
-          break;
-        case fault::MigrationEventKind::kRollback:
-          wtype = recover::WalRecordType::kMigRollback;
-          break;
-        case fault::MigrationEventKind::kReplan:
-          wtype = recover::WalRecordType::kMigReplan;
-          break;
+    if (elog_ != nullptr || options_.wal != nullptr) {
+      const fault::MigrationEvent e{kind, t, p, from, to, bytes};
+      const Seconds downtime =
+          kind == fault::MigrationEventKind::kCommit && p >= 0
+              ? record(p).downtime
+              : 0.0;
+      // Protocol transitions also stream to the event log (independent
+      // of record_events — the journal is the certification input, the
+      // event log the live feed).
+      if (elog_ != nullptr && kind != fault::MigrationEventKind::kChunk)
+        emit_mig_event(*elog_, e, downtime);
+      if (options_.wal != nullptr) {
+        // Non-chunk transitions sync so the record is durable before the
+        // engine acts on it. Chunk records ride along with the next sync
+        // — losing an unsynced chunk tail only under-counts copy
+        // progress, which redo re-sends anyway.
+        options_.wal->append(mig_record_type(kind), t,
+                             mig_payload(options_.wal_tenant, e, downtime));
+        if (kind != fault::MigrationEventKind::kChunk) options_.wal->sync();
       }
-      std::ostringstream os;
-      JsonWriter w(os, /*pretty=*/false);
-      w.begin_object();
-      w.field("tenant", options_.wal_tenant);
-      w.field("process", static_cast<std::int64_t>(p));
-      w.field("from", from);
-      w.field("to", to);
-      w.field("bytes", bytes);
-      if (kind == fault::MigrationEventKind::kCommit) {
-        w.field("downtime", p >= 0 ? record(p).downtime : 0.0);
-      }
-      w.end_object();
-      options_.wal->append(wtype, t, os.str());
-      if (kind != fault::MigrationEventKind::kChunk) options_.wal->sync();
     }
     if (!options_.record_events) return;
     report_.events.push_back({kind, t, p, from, to, bytes});
@@ -986,6 +947,66 @@ MigrationReport execute_migration(const mapping::MappingProblem& problem,
                                   const MigrationOptions& options) {
   Engine engine(problem, current, target, plan, start_time, options);
   return engine.run();
+}
+
+recover::WalRecordType mig_record_type(fault::MigrationEventKind kind) {
+  using K = fault::MigrationEventKind;
+  using T = recover::WalRecordType;
+  switch (kind) {
+    case K::kReserve: return T::kMigReserve;
+    case K::kRelease: return T::kMigRelease;
+    case K::kChunk: return T::kMigChunk;
+    case K::kCommit: return T::kMigCommit;
+    case K::kRollback: return T::kMigRollback;
+    case K::kReplan: return T::kMigReplan;
+  }
+  return T::kMigChunk;
+}
+
+std::optional<fault::MigrationEventKind> mig_event_kind(
+    recover::WalRecordType type) {
+  using K = fault::MigrationEventKind;
+  using T = recover::WalRecordType;
+  switch (type) {
+    case T::kMigReserve: return K::kReserve;
+    case T::kMigRelease: return K::kRelease;
+    case T::kMigChunk: return K::kChunk;
+    case T::kMigCommit: return K::kCommit;
+    case T::kMigRollback: return K::kRollback;
+    case T::kMigReplan: return K::kReplan;
+    default: return std::nullopt;
+  }
+}
+
+std::string mig_payload(int tenant, const fault::MigrationEvent& e,
+                        Seconds downtime) {
+  std::ostringstream os;
+  JsonWriter w(os, /*pretty=*/false);
+  w.begin_object();
+  w.field("tenant", tenant);
+  w.field("process", static_cast<std::int64_t>(e.process));
+  w.field("from", e.site_from);
+  w.field("to", e.site_to);
+  w.field("bytes", e.bytes);
+  if (e.kind == fault::MigrationEventKind::kCommit)
+    w.field("downtime", downtime);
+  w.end_object();
+  return os.str();
+}
+
+void emit_mig_event(obs::EventLog& log, const fault::MigrationEvent& e,
+                    Seconds downtime) {
+  const bool trouble = e.kind == fault::MigrationEventKind::kRollback ||
+                       e.kind == fault::MigrationEventKind::kReplan;
+  std::vector<obs::EventField> fields;
+  fields.reserve(4);
+  fields.push_back(obs::field("process", e.process));
+  fields.push_back(obs::field("from", e.site_from));
+  fields.push_back(obs::field("to", e.site_to));
+  if (e.kind == fault::MigrationEventKind::kCommit && e.process >= 0)
+    fields.push_back(obs::field("downtime", downtime));
+  log.emit(e.t, trouble ? obs::EventSeverity::kWarn : obs::EventSeverity::kInfo,
+           "migrate", fault::to_string(e.kind), std::move(fields));
 }
 
 }  // namespace geomap::migrate

@@ -37,6 +37,7 @@
 // is opt-in; with nullptr the report is bit-identical to an
 // uninstrumented run (asserted by tests).
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,11 +49,13 @@
 
 namespace geomap::obs {
 class Collector;
-}
+class EventLog;
+}  // namespace geomap::obs
 
 namespace geomap::recover {
 class Wal;
-}
+enum class WalRecordType;
+}  // namespace geomap::recover
 
 namespace geomap::migrate {
 
@@ -208,5 +211,27 @@ MigrationReport execute_migration(const mapping::MappingProblem& problem,
                                   const fault::FaultPlan& plan,
                                   Seconds start_time,
                                   const MigrationOptions& options = {});
+
+// The journal's durable and streamed forms. execute_migration writes
+// them live (when a WAL or event log is attached); recovery decodes the
+// WAL records and re-emits the events through these same functions.
+
+/// The mig_* WAL record type of a protocol transition.
+recover::WalRecordType mig_record_type(fault::MigrationEventKind kind);
+
+/// Inverse of mig_record_type; nullopt when `type` is not a mig_* record.
+std::optional<fault::MigrationEventKind> mig_event_kind(
+    recover::WalRecordType type);
+
+/// The mig_* record payload: the owning tenant, process, from/to sites
+/// and bytes, plus `downtime` on commits.
+std::string mig_payload(int tenant, const fault::MigrationEvent& e,
+                        Seconds downtime);
+
+/// The streamed "migrate/<kind>" event of a non-chunk transition (chunk
+/// landings stay out of the stream; the timeline series carry them). A
+/// commit of a real process carries its downtime.
+void emit_mig_event(obs::EventLog& log, const fault::MigrationEvent& e,
+                    Seconds downtime);
 
 }  // namespace geomap::migrate

@@ -69,10 +69,11 @@ class Collector {
   /// The forensic recorders — the per-order decision audit and the
   /// per-edge critical-path event log — cost real time on hot paths
   /// (unlike the always-on set: metrics, spans, timeline, profiler,
-  /// memory, whose overhead the CI gate bounds at 5%). They default on
-  /// so a directly constructed Collector records everything, but the
-  /// bench harness enables each only when its artifact was requested.
-  /// Instrumented sites consult these flags before recording.
+  /// memory, whose overhead the CI gate bounds at 5%). They default on,
+  /// so a directly constructed Collector (and every --obs-dir run)
+  /// records everything; the overhead gate turns them off to time the
+  /// always-on set alone. Instrumented sites consult these flags before
+  /// recording.
   void set_audit_enabled(bool enabled) { audit_enabled_ = enabled; }
   bool audit_enabled() const { return audit_enabled_; }
   void set_critpath_enabled(bool enabled) { critpath_enabled_ = enabled; }
@@ -97,9 +98,6 @@ class Collector {
   }
   void write_profile_json(std::ostream& os) const {
     profile_.write_json(os, &mem_, &meta_);
-  }
-  void write_profile_collapsed(std::ostream& os) const {
-    profile_.write_collapsed(os);
   }
   void write_events_jsonl(std::ostream& os) const {
     events_.write_jsonl(os, &meta_);

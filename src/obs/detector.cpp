@@ -59,13 +59,8 @@ DegradationDetector::LinkState& DegradationDetector::state(SiteId src,
   return links_[{src, dst}];
 }
 
-namespace {
-
-/// WAL payload for an episode boundary: the fields re-emission needs to
-/// reproduce the streamed event exactly (recover/records.cpp decodes).
-std::string episode_payload(const DegradationEvent& e, Seconds end) {
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
+void write_episode_json(JsonWriter& w, const DegradationEvent& e,
+                        Seconds end) {
   w.begin_object();
   w.field("src", e.src);
   w.field("dst", e.dst);
@@ -76,10 +71,32 @@ std::string episode_payload(const DegradationEvent& e, Seconds end) {
   w.field("severity", e.severity);
   w.field("confidence", e.confidence);
   w.end_object();
+}
+
+std::string episode_payload(const DegradationEvent& e, Seconds end) {
+  std::ostringstream os;
+  JsonWriter w(os, /*pretty=*/false);
+  write_episode_json(w, e, end);
   return os.str();
 }
 
-}  // namespace
+void emit_onset_event(EventLog& log, const DegradationEvent& e) {
+  log.emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
+           {field("src", e.src), field("dst", e.dst),
+            field("kind", to_string(e.kind)), field("onset", e.onset_vtime),
+            field("latency", std::max(0.0, e.detect_vtime - e.onset_vtime)),
+            field("severity", e.severity),
+            field("confidence", e.confidence)});
+}
+
+void emit_clear_event(EventLog& log, const DegradationEvent& e, Seconds t) {
+  log.emit(t, EventSeverity::kInfo, "detector", "clear",
+           {field("src", e.src), field("dst", e.dst),
+            field("kind", to_string(e.kind)),
+            field("duration", std::max(0.0, t - e.onset_vtime)),
+            field("severity", e.severity),
+            field("confidence", e.confidence)});
+}
 
 void DegradationDetector::emit_onset(const DegradationEvent& e) {
   if (wal_ != nullptr) {
@@ -87,14 +104,7 @@ void DegradationDetector::emit_onset(const DegradationEvent& e) {
                  episode_payload(e, kInf));
     wal_->sync();
   }
-  if (event_log_ == nullptr) return;
-  event_log_->emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
-                   {field("src", e.src), field("dst", e.dst),
-                    field("kind", to_string(e.kind)),
-                    field("onset", e.onset_vtime),
-                    field("latency", std::max(0.0, e.detect_vtime - e.onset_vtime)),
-                    field("severity", e.severity),
-                    field("confidence", e.confidence)});
+  if (event_log_ != nullptr) emit_onset_event(*event_log_, e);
 }
 
 void DegradationDetector::emit_clear(const DegradationEvent& e, Seconds t) {
@@ -103,13 +113,7 @@ void DegradationDetector::emit_clear(const DegradationEvent& e, Seconds t) {
                  episode_payload(e, t));
     wal_->sync();
   }
-  if (event_log_ == nullptr) return;
-  event_log_->emit(t, EventSeverity::kInfo, "detector", "clear",
-                   {field("src", e.src), field("dst", e.dst),
-                    field("kind", to_string(e.kind)),
-                    field("duration", std::max(0.0, t - e.onset_vtime)),
-                    field("severity", e.severity),
-                    field("confidence", e.confidence)});
+  if (event_log_ != nullptr) emit_clear_event(*event_log_, e, t);
 }
 
 void DegradationDetector::maybe_close_down(LinkState& s, Seconds t) {

@@ -42,6 +42,10 @@
 #include "obs/eventlog.h"
 #include "obs/timeseries.h"
 
+namespace geomap {
+class JsonWriter;
+}  // namespace geomap
+
 namespace geomap::recover {
 class Wal;
 }
@@ -73,6 +77,22 @@ struct DegradationEvent {
   /// 0..1; grows with the decision statistic's margin over threshold.
   double confidence = 0;
 };
+
+/// An episode boundary as one JSON object: the payload of the
+/// detector_onset (`end` = +infinity, omitted) and detector_clear WAL
+/// records, and the episode entries of a detector checkpoint. Carries
+/// what re-emission needs to reproduce the streamed event exactly
+/// (recover/records decodes it).
+void write_episode_json(JsonWriter& w, const DegradationEvent& e,
+                        Seconds end);
+std::string episode_payload(const DegradationEvent& e, Seconds end);
+
+/// The streamed "detector/onset" event of an opened episode (with the
+/// detection latency detect − onset) and the "detector/clear" event of
+/// an episode closed at `t` — emitted live by the detector and again by
+/// recovery when it replays the durable episode history.
+void emit_onset_event(EventLog& log, const DegradationEvent& e);
+void emit_clear_event(EventLog& log, const DegradationEvent& e, Seconds t);
 
 /// Ground-truth fault window on ordered link (src, dst), expanded from a
 /// FaultPlan for scoring only. `down` marks windows where the link was

@@ -130,28 +130,6 @@ void MetricsRegistry::set_histogram_sample_cap(std::size_t cap) {
   histogram_sample_cap_ = cap;
 }
 
-std::map<std::string, std::uint64_t> MetricsRegistry::counter_values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, c] : counters_) out.emplace(name, c->value());
-  return out;
-}
-
-std::map<std::string, double> MetricsRegistry::gauge_values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, double> out;
-  for (const auto& [name, g] : gauges_) out.emplace(name, g->value());
-  return out;
-}
-
-std::map<std::string, Histogram::Summary> MetricsRegistry::histogram_summaries()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, Histogram::Summary> out;
-  for (const auto& [name, h] : histograms_) out.emplace(name, h->summary());
-  return out;
-}
-
 void MetricsRegistry::write_json(std::ostream& os, const RunMeta* meta) const {
   std::lock_guard<std::mutex> lock(mutex_);
   JsonWriter w(os);

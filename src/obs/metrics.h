@@ -125,13 +125,6 @@ class MetricsRegistry {
   /// "sampled": true.
   void set_histogram_sample_cap(std::size_t cap);
 
-  /// Point-in-time snapshot accessors (sorted by name) for exporters that
-  /// live outside this class — the OpenMetrics renderer (obs/openmetrics)
-  /// reads these rather than growing registry-coupled format code here.
-  std::map<std::string, std::uint64_t> counter_values() const;
-  std::map<std::string, double> gauge_values() const;
-  std::map<std::string, Histogram::Summary> histogram_summaries() const;
-
   /// One JSON object: {"meta": {...}, "counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, min, max, mean, p50, p90, p99}}}
   /// (histograms past their reservoir cap add "sampled": true).

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/error.h"
+#include "common/json_reader.h"
 #include "common/json_writer.h"
 #include "obs/run_meta.h"
 
@@ -40,6 +42,13 @@ double PhaseSnapshot::exclusive_seconds() const {
   double children_wall = 0;
   for (const PhaseSnapshot& c : children) children_wall += c.wall_seconds;
   return wall_seconds - children_wall;
+}
+
+bool PhaseSnapshot::has_time() const {
+  if (wall_seconds > 0) return true;
+  for (const PhaseSnapshot& c : children)
+    if (c.has_time()) return true;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -232,11 +241,23 @@ void write_collapsed_node(std::ostream& os, const PhaseSnapshot& node,
     write_collapsed_node(os, child, path, use_calls);
 }
 
-bool tree_has_time(const PhaseSnapshot& node) {
-  if (node.wall_seconds > 0) return true;
-  for (const PhaseSnapshot& child : node.children)
-    if (tree_has_time(child)) return true;
-  return false;
+PhaseSnapshot node_from_json(const std::string& name, const JsonValue& v) {
+  PhaseSnapshot n;
+  n.name = name;
+  n.wall_seconds = v.number_or("wall_seconds", 0);
+  n.cpu_seconds = v.number_or("cpu_seconds", 0);
+  // Calls and counters are written as exact integers; as_uint64 reads
+  // them back exactly and rejects anything else.
+  if (const JsonValue* calls = v.find("calls")) n.calls = calls->as_uint64();
+  if (const JsonValue* counters = v.find("counters")) {
+    for (const auto& [key, c] : counters->members())
+      if (c.is_number()) n.counters[key] = c.as_uint64();
+  }
+  if (const JsonValue* children = v.find("children")) {
+    for (const auto& [key, c] : children->members())
+      n.children.push_back(node_from_json(key, c));
+  }
+  return n;
 }
 
 }  // namespace
@@ -255,9 +276,15 @@ void PhaseProfiler::write_json(std::ostream& os, const MemTracker* memory,
   os << "\n";
 }
 
-void PhaseProfiler::write_collapsed(std::ostream& os) const {
-  const PhaseSnapshot root = snapshot();
-  write_collapsed_node(os, root, "", /*use_calls=*/!tree_has_time(root));
+void write_collapsed(std::ostream& os, const PhaseSnapshot& root) {
+  write_collapsed_node(os, root, "", /*use_calls=*/!root.has_time());
+}
+
+PhaseSnapshot profile_from_json(const JsonValue& root) {
+  const JsonValue* tree = root.find("tree");
+  GEOMAP_CHECK_ARG(tree != nullptr && tree->is_object(),
+                   "not a profile artifact (no top-level 'tree' object)");
+  return node_from_json("run", *tree);
 }
 
 // ---------------------------------------------------------------------------

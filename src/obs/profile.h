@@ -51,8 +51,9 @@
 #include <vector>
 
 namespace geomap {
+class JsonValue;
 class JsonWriter;
-}
+}  // namespace geomap
 
 namespace geomap::obs {
 
@@ -72,7 +73,23 @@ struct PhaseSnapshot {
   /// opened off the orchestrating thread would surface as negative
   /// exclusive time, which the invariant tests treat as a bug).
   double exclusive_seconds() const;
+
+  /// True when this node or any descendant carries wall time (false for
+  /// every tree exported in deterministic mode).
+  bool has_time() const;
 };
+
+/// Collapsed-stack lines ("run;mapper:X;fill 1234") consumable by
+/// flamegraph.pl / speedscope. Weights are exclusive microseconds; when
+/// the whole tree carries zero time (deterministic mode) call counts
+/// stand in so the structure still renders.
+void write_collapsed(std::ostream& os, const PhaseSnapshot& root);
+
+/// Parse the phase tree back from a profile.json document (inverse of
+/// PhaseProfiler::write_json's "tree" member; the root is named "run").
+/// Throws InvalidArgument when the document has no "tree" object or a
+/// call count or counter is not an unsigned integer.
+PhaseSnapshot profile_from_json(const JsonValue& root);
 
 /// Movable RAII handle; the disengaged (default-constructed) phase is a
 /// no-op, which lets instrumented code write
@@ -192,12 +209,6 @@ class PhaseProfiler {
   /// of a seeded workload.
   void write_json(std::ostream& os, const MemTracker* memory = nullptr,
                   const RunMeta* meta = nullptr) const;
-
-  /// Collapsed-stack lines ("run;mapper:X;fill 1234") consumable by
-  /// flamegraph.pl / speedscope. Weights are exclusive microseconds;
-  /// when the whole tree carries zero time (deterministic mode) call
-  /// counts stand in so the structure still renders.
-  void write_collapsed(std::ostream& os) const;
 
   /// Wall seconds since profiler construction (0 when deterministic).
   /// The mapper heartbeat uses this as its timeline timestamp.

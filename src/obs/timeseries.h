@@ -9,7 +9,7 @@
 // runtime and the replay engines record one point per observed inter-site
 // transfer (per site-pair label), the degradation detector (obs/detector.h)
 // consumes the points online, and the whole registry exports as the
-// `timeline` JSON artifact (--timeline-out / --obs-dir).
+// `timeline.json` artifact under --obs-dir.
 //
 // Memory is bounded: each series is a ring of at most `capacity` points.
 // When the ring overflows, the points with the *smallest virtual

@@ -1,8 +1,8 @@
 #include "recover/records.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -116,22 +116,6 @@ obs::DegradationKind parse_kind(const std::string& name, const char* what) {
                    "\"");
 }
 
-/// Must stay byte-identical to episode_payload in obs/detector.cpp —
-/// the round-trip test in tests/recover_test.cpp pins them together.
-void write_episode(JsonWriter& w, const obs::DegradationEvent& e,
-                   Seconds end) {
-  w.begin_object();
-  w.field("src", e.src);
-  w.field("dst", e.dst);
-  w.field("kind", obs::to_string(e.kind));
-  w.field("onset", e.onset_vtime);
-  w.field("detect", e.detect_vtime);
-  if (std::isfinite(end)) w.field("end", end);
-  w.field("severity", e.severity);
-  w.field("confidence", e.confidence);
-  w.end_object();
-}
-
 obs::DegradationEvent read_episode(const JsonValue& v, const char* what) {
   obs::DegradationEvent e;
   e.src = num_int(v, "src", what);
@@ -150,7 +134,7 @@ void write_checkpoint(JsonWriter& w, const obs::DetectorCheckpoint& ckpt) {
   w.begin_object();
   w.key("events").begin_array();
   for (const obs::DegradationEvent& e : ckpt.events) {
-    write_episode(w, e, e.end_vtime);
+    obs::write_episode_json(w, e, e.end_vtime);
   }
   w.end_array();
   w.key("links").begin_array();
@@ -234,14 +218,6 @@ RunBeginRecord decode_run_begin(const std::string& payload) {
   r.sites = num_int(v, "sites", what);
   r.policy = str(v, "policy", what);
   return r;
-}
-
-std::string encode_detector_episode(const obs::DegradationEvent& e,
-                                    Seconds end) {
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
-  write_episode(w, e, end);
-  return os.str();
 }
 
 DetectorEpisodeRecord decode_detector_episode(const std::string& payload) {
@@ -403,49 +379,20 @@ SchedFinishRecord decode_sched_finish(const std::string& payload) {
 }
 
 std::string encode_mig(const MigRecord& r) {
-  // Must stay byte-identical to wal_journal in migrate/executor.cpp.
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
-  w.begin_object();
-  w.field("tenant", r.tenant);
-  w.field("process", static_cast<std::int64_t>(r.event.process));
-  w.field("from", r.event.site_from);
-  w.field("to", r.event.site_to);
-  w.field("bytes", r.event.bytes);
-  if (r.event.kind == fault::MigrationEventKind::kCommit) {
-    w.field("downtime", r.downtime);
-  }
-  w.end_object();
-  return os.str();
+  return migrate::mig_payload(r.tenant, r.event, r.downtime);
 }
 
 MigRecord decode_mig(WalRecordType type, const std::string& payload) {
   const char* what = to_string(type);
+  const std::optional<fault::MigrationEventKind> kind =
+      migrate::mig_event_kind(type);
+  if (!kind) {
+    throw WalCorrupt(std::string("record type ") + what +
+                     " is not a migration record");
+  }
   const JsonValue v = parse_payload(payload, what);
   MigRecord r;
-  switch (type) {
-    case WalRecordType::kMigReserve:
-      r.event.kind = fault::MigrationEventKind::kReserve;
-      break;
-    case WalRecordType::kMigRelease:
-      r.event.kind = fault::MigrationEventKind::kRelease;
-      break;
-    case WalRecordType::kMigChunk:
-      r.event.kind = fault::MigrationEventKind::kChunk;
-      break;
-    case WalRecordType::kMigCommit:
-      r.event.kind = fault::MigrationEventKind::kCommit;
-      break;
-    case WalRecordType::kMigRollback:
-      r.event.kind = fault::MigrationEventKind::kRollback;
-      break;
-    case WalRecordType::kMigReplan:
-      r.event.kind = fault::MigrationEventKind::kReplan;
-      break;
-    default:
-      throw WalCorrupt(std::string("record type ") + what +
-                       " is not a migration record");
-  }
+  r.event.kind = *kind;
   r.tenant = num_int(v, "tenant", what);
   r.event.process = static_cast<ProcessId>(num(v, "process", what));
   r.event.site_from = num_int(v, "from", what);

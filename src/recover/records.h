@@ -1,13 +1,14 @@
 #pragma once
 // Typed payload codecs for the control-plane WAL.
 //
-// Producers that sit *below* geomap_recover in the link graph encode
-// their payloads locally with JsonWriter (obs/detector.cpp for episode
-// records, migrate/executor.cpp for migration protocol records) — the
-// decoders here are the single source of truth for what those payloads
-// mean, and the round-trip tests in tests/recover_test.cpp pin the two
-// sides together. Producers that link geomap_recover (the scheduler,
-// the recoverable driver) use the encoders here directly.
+// Producers that sit *below* geomap_recover in the link graph own the
+// encoders of their records: obs/detector (episode_payload, for
+// detector_onset / detector_clear) and migrate/executor (mig_payload and
+// the MigrationEventKind <-> mig_* type map). The decoders here read
+// those payloads back, and the round-trip tests in
+// tests/recover_test.cpp pin the two sides together. Producers that
+// link geomap_recover (the scheduler, the recoverable driver) use the
+// encoders here directly.
 //
 // Every decoder throws WalCorrupt on a structurally broken payload: a
 // record that passed its line CRC but does not decode is corruption,
@@ -112,15 +113,13 @@ struct SnapshotStateRecord {
 
 // -- Encoders (single-line JSON payloads) --
 std::string encode_run_begin(const RunBeginRecord& r);
-std::string encode_detector_episode(const obs::DegradationEvent& e,
-                                    Seconds end);
 std::string encode_detect_decision(const DetectDecisionRecord& r);
 std::string encode_sched_request(const SchedRequestRecord& r);
 std::string encode_sched_grant(const SchedGrantRecord& r);
 std::string encode_sched_requeue(const SchedRequeueRecord& r);
 std::string encode_sched_give_up(const SchedGiveUpRecord& r);
 std::string encode_sched_finish(const SchedFinishRecord& r);
-std::string encode_mig(const MigRecord& r);
+std::string encode_mig(const MigRecord& r);  // migrate::mig_payload
 std::string encode_snapshot_state(const SnapshotStateRecord& r);
 
 // -- Decoders --

@@ -18,17 +18,7 @@ bool is_detector_record(WalRecordType t) {
 }
 
 bool is_mig_record(WalRecordType t) {
-  switch (t) {
-    case WalRecordType::kMigReserve:
-    case WalRecordType::kMigRelease:
-    case WalRecordType::kMigChunk:
-    case WalRecordType::kMigCommit:
-    case WalRecordType::kMigRollback:
-    case WalRecordType::kMigReplan:
-      return true;
-    default:
-      return false;
-  }
+  return migrate::mig_event_kind(t).has_value();
 }
 
 /// Tenant a queue-path record names; -1 when the type carries none.
@@ -210,30 +200,13 @@ void reemit_events(const RecoveredControlPlane& rcp, obs::EventLog& elog) {
   using obs::field;
   for (const HistRecord& h : rcp.effective) {
     switch (h.type) {
-      case WalRecordType::kDetectorOnset: {
-        const obs::DegradationEvent e =
-            decode_detector_episode(h.payload).event;
-        elog.emit(e.detect_vtime, EventSeverity::kWarn, "detector", "onset",
-                  {field("src", e.src), field("dst", e.dst),
-                   field("kind", obs::to_string(e.kind)),
-                   field("onset", e.onset_vtime),
-                   field("latency",
-                         std::max(0.0, e.detect_vtime - e.onset_vtime)),
-                   field("severity", e.severity),
-                   field("confidence", e.confidence)});
+      case WalRecordType::kDetectorOnset:
+        obs::emit_onset_event(elog, decode_detector_episode(h.payload).event);
         break;
-      }
-      case WalRecordType::kDetectorClear: {
-        const obs::DegradationEvent e =
-            decode_detector_episode(h.payload).event;
-        elog.emit(h.t, EventSeverity::kInfo, "detector", "clear",
-                  {field("src", e.src), field("dst", e.dst),
-                   field("kind", obs::to_string(e.kind)),
-                   field("duration", std::max(0.0, h.t - e.onset_vtime)),
-                   field("severity", e.severity),
-                   field("confidence", e.confidence)});
+      case WalRecordType::kDetectorClear:
+        obs::emit_clear_event(elog, decode_detector_episode(h.payload).event,
+                              h.t);
         break;
-      }
       case WalRecordType::kDetectDecision: {
         const DetectDecisionRecord d = decode_detect_decision(h.payload);
         elog.emit(h.t,
@@ -280,21 +253,9 @@ void reemit_events(const RecoveredControlPlane& rcp, obs::EventLog& elog) {
       case WalRecordType::kMigCommit:
       case WalRecordType::kMigRollback:
       case WalRecordType::kMigReplan: {
-        const MigRecord m = decode_mig(h.type, h.payload);
-        const fault::MigrationEventKind kind = m.event.kind;
-        const bool trouble = kind == fault::MigrationEventKind::kRollback ||
-                             kind == fault::MigrationEventKind::kReplan;
-        std::vector<obs::EventField> fields;
-        fields.reserve(4);
-        fields.push_back(field("process", m.event.process));
-        fields.push_back(field("from", m.event.site_from));
-        fields.push_back(field("to", m.event.site_to));
-        if (kind == fault::MigrationEventKind::kCommit &&
-            m.event.process >= 0)
-          fields.push_back(field("downtime", m.downtime));
-        elog.emit(h.t,
-                  trouble ? EventSeverity::kWarn : EventSeverity::kInfo,
-                  "migrate", fault::to_string(kind), std::move(fields));
+        MigRecord m = decode_mig(h.type, h.payload);
+        m.event.t = h.t;
+        migrate::emit_mig_event(elog, m.event, m.downtime);
         break;
       }
       case WalRecordType::kMigChunk:  // never streamed live either

@@ -633,22 +633,7 @@ Seconds Runtime::acquire_link(SiteId src_site, SiteId dst_site, Seconds ready,
                   static_cast<std::size_t>(model_.num_sites()) +
               static_cast<std::size_t>(dst_site)];
   std::lock_guard<std::mutex> lock(link.mutex);
-
-  // First-fit gap search over the sorted busy list.
-  Seconds start = ready;
-  std::int64_t pred = -1;
-  std::size_t insert_at = 0;
-  for (; insert_at < link.busy.size(); ++insert_at) {
-    const BusyInterval& b = link.busy[insert_at];
-    if (start + wire_seconds <= b.start) break;  // fits before this one
-    if (b.end > start) pred = b.event;  // this occupancy pushed us back
-    start = std::max(start, b.end);
-  }
-  const Seconds completion = start + wire_seconds;
-  link.busy.insert(link.busy.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                   BusyInterval{start, completion, event_id});
-  if (pred_out != nullptr) *pred_out = (start > ready) ? pred : -1;
-  return completion;
+  return link.schedule.reserve(ready, wire_seconds, event_id, pred_out);
 }
 
 RunResult Runtime::run(const std::function<void(Comm&)>& body) {
@@ -666,7 +651,7 @@ RunResult Runtime::run(const std::function<void(Comm&)>& body) {
     crit_run_ = -1;
   }
   // Each run starts at virtual time zero with idle links and mailboxes.
-  for (auto& link : links_) link->busy.clear();
+  for (auto& link : links_) link->schedule.clear();
   for (auto& mailbox : mailboxes_) mailbox.reset();
   std::vector<RankStats> stats(static_cast<std::size_t>(p));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));

@@ -38,6 +38,7 @@
 
 #include "common/types.h"
 #include "fault/fault_plan.h"
+#include "net/link_schedule.h"
 #include "net/network_model.h"
 #include "runtime/mailbox.h"
 #include "trace/optrace.h"
@@ -302,20 +303,14 @@ class Runtime {
   TimelineCache tl_retry_;
   TimelineCache tl_timeout_;
 
-  /// Busy intervals of one inter-site link, kept sorted by start time.
-  /// Transfers reserve the first gap that fits at or after their ready
-  /// time — so a transfer that is early in *virtual* time is never queued
-  /// behind one that merely executed earlier in *host* time (threads
-  /// reach the link in arbitrary real order when their virtual clocks
-  /// diverge).
-  struct BusyInterval {
-    Seconds start = 0;
-    Seconds end = 0;
-    std::int64_t event = -1;  // critical-path event id of the transfer
-  };
+  /// One inter-site link's first-fit schedule, tagged with each
+  /// transfer's critical-path event id. First fit keys on *virtual*
+  /// ready time, so a transfer is never queued behind one that merely
+  /// executed earlier in *host* time (threads reach the link in
+  /// arbitrary real order when their virtual clocks diverge).
   struct LinkState {
     std::mutex mutex;
-    std::vector<BusyInterval> busy;
+    net::LinkSchedule schedule;
   };
   std::vector<std::unique_ptr<LinkState>> links_;  // m*m ordered pairs
 };

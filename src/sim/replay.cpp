@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "net/link_schedule.h"
 
 namespace geomap::sim {
 
@@ -31,24 +32,6 @@ struct RankState {
 
 constexpr Seconds kUnmatched = -1.0;
 
-struct LinkSchedule {
-  std::vector<std::pair<Seconds, Seconds>> busy;
-
-  Seconds reserve(Seconds ready, Seconds wire) {
-    Seconds start = ready;
-    std::size_t insert_at = 0;
-    for (; insert_at < busy.size(); ++insert_at) {
-      const auto& [busy_start, busy_end] = busy[insert_at];
-      if (start + wire <= busy_start) break;
-      start = std::max(start, busy_end);
-    }
-    const Seconds completion = start + wire;
-    busy.insert(busy.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                {start, completion});
-    return completion;
-  }
-};
-
 }  // namespace
 
 ReplayResult replay_ops(const trace::OpTraceLog& ops,
@@ -65,7 +48,7 @@ ReplayResult replay_ops(const trace::OpTraceLog& ops,
   // Pending sends per (src, dst, tag), FIFO — the runtime's matching
   // discipline.
   std::map<std::tuple<int, int, int>, std::deque<PostedSend>> posted;
-  std::vector<LinkSchedule> links(static_cast<std::size_t>(m) * m);
+  std::vector<net::LinkSchedule> links(static_cast<std::size_t>(m) * m);
 
   // Round-robin: run each rank until it blocks; repeat until done.
   bool progressed = true;

@@ -1,8 +1,8 @@
-// Streaming telemetry plane (src/obs/eventlog, openmetrics, slo): the
-// structured event log's ordering/bounding/thread-safety contracts, the
-// deterministic JSONL export, the OpenMetrics renderer, SLO error-budget
-// math on hand-built streams, and the nullptr-collector bit-identity of
-// every new emission site.
+// Streaming telemetry plane (src/obs/eventlog, slo): the structured
+// event log's ordering/bounding/thread-safety contracts, the
+// deterministic JSONL export, SLO error-budget math on hand-built
+// streams, and the nullptr-collector bit-identity of every new emission
+// site.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +24,6 @@
 #include "obs/collector.h"
 #include "obs/detector.h"
 #include "obs/eventlog.h"
-#include "obs/openmetrics.h"
-#include "obs/run_meta.h"
 #include "obs/slo.h"
 #include "tenancy/soak.h"
 #include "test_util.h"
@@ -188,78 +186,6 @@ TEST(EventLogTest, SeverityParsesAndRejects) {
   EXPECT_EQ(parse_event_severity("debug"), EventSeverity::kDebug);
   EXPECT_EQ(parse_event_severity("error"), EventSeverity::kError);
   EXPECT_THROW(parse_event_severity("fatal"), Error);
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics
-
-TEST(OpenMetricsTest, NameSanitizesToCharset) {
-  EXPECT_EQ(openmetrics_name("migration.bytes_sent"),
-            "geomap_migration_bytes_sent");
-  EXPECT_EQ(openmetrics_name("link.latency-ratio{0->1}"),
-            "geomap_link_latency_ratio_0__1_");
-}
-
-TEST(OpenMetricsTest, RendersCountersGaugesSummariesAndEof) {
-  MetricsRegistry registry;
-  registry.counter("migration.chunks").add(42);
-  registry.gauge("storm.queue_depth").set(3.5);
-  registry.histogram("migration.downtime_seconds").record(0.5);
-  registry.histogram("migration.downtime_seconds").record(1.5);
-  RunMeta meta;
-  meta.bench = "test\"bench";  // label escaping
-  meta.geomap_version = "1.0.0";
-  meta.git_describe = "abc";
-  meta.timestamp = "1970-01-01T00:00:00Z";
-  std::ostringstream os;
-  write_openmetrics(os, snapshot_metrics(registry), &meta);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE geomap_migration_chunks counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("geomap_migration_chunks_total 42"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE geomap_storm_queue_depth gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE geomap_migration_downtime_seconds summary"),
-            std::string::npos);
-  EXPECT_NE(text.find("quantile=\"0.5\""), std::string::npos);
-  EXPECT_NE(text.find("geomap_migration_downtime_seconds_sum 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("geomap_migration_downtime_seconds_count 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("geomap_build_info{"), std::string::npos);
-  EXPECT_NE(text.find("test\\\"bench"), std::string::npos);
-  // # EOF terminates the exposition.
-  EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
-}
-
-TEST(OpenMetricsTest, ExportIsByteStableAcrossSnapshots) {
-  MetricsRegistry registry;
-  registry.counter("b.second").add(2);
-  registry.counter("a.first").add(1);
-  registry.histogram("h").record(1.0);
-  std::ostringstream os1, os2;
-  write_openmetrics(os1, snapshot_metrics(registry), nullptr);
-  write_openmetrics(os2, snapshot_metrics(registry), nullptr);
-  EXPECT_EQ(os1.str(), os2.str());
-  // Sorted by name: a.first renders before b.second.
-  EXPECT_LT(os1.str().find("geomap_a_first"), os1.str().find("geomap_b_second"));
-}
-
-TEST(OpenMetricsTest, DeltaSubtractsCountersAndHistograms) {
-  MetricsRegistry registry;
-  registry.counter("c").add(10);
-  registry.gauge("g").set(1.0);
-  registry.histogram("h").record(1.0);
-  const MetricsSnapshot before = snapshot_metrics(registry);
-  registry.counter("c").add(5);
-  registry.gauge("g").set(9.0);
-  registry.histogram("h").record(3.0);
-  const MetricsSnapshot after = snapshot_metrics(registry);
-  const MetricsSnapshot delta = delta_metrics(before, after);
-  EXPECT_EQ(delta.counters.at("c"), 5u);
-  EXPECT_EQ(delta.gauges.at("g"), 9.0);  // gauges take the newer value
-  EXPECT_EQ(delta.histograms.at("h").count, 1u);
-  EXPECT_EQ(delta.histograms.at("h").sum, 3.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
     Mappers, AllowedSitesMappers,
     ::testing::Combine(::testing::ValuesIn(kAllowedCases),
                        ::testing::Values(11, 22, 33)),
-    [](const ::testing::TestParamInfo<AllowedSitesMappers::ParamType>& info) {
-      return std::get<0>(info.param).name + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<AllowedSitesMappers::ParamType>& pinfo) {
+      return std::get<0>(pinfo.param).name + "_seed" +
+             std::to_string(std::get<1>(pinfo.param));
     });
 
 TEST(AllowedSites, TightInstanceForcesUniquePlacement) {

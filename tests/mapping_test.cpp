@@ -274,9 +274,9 @@ INSTANTIATE_TEST_SUITE_P(
     Mappers, AllMappersTest,
     ::testing::Combine(::testing::ValuesIn(kMapperCases),
                        ::testing::Values(101, 202, 303)),
-    [](const ::testing::TestParamInfo<AllMappersTest::ParamType>& info) {
-      return std::get<0>(info.param).name + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<AllMappersTest::ParamType>& pinfo) {
+      return std::get<0>(pinfo.param).name + "_seed" +
+             std::to_string(std::get<1>(pinfo.param));
     });
 
 TEST(Exhaustive, FindsKnownOptimum) {

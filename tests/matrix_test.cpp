@@ -32,10 +32,11 @@ namespace {
 // MapperCase::name. With address randomisation off, that address follows
 // from the image size and every allocation made before the suite
 // registers. This reservation keeps it, and so the reported case names,
-// where they were before the WAL equivalence tests joined the binary.
-// A PrintTo for MapperCase would end the dependence but rename all 64
+// where the recorded test list has them; a change to the binary's size
+// or registrations can move them, and then the size is re-set. A
+// PrintTo for MapperCase would end the dependence but rename all 64
 // cases; ROADMAP.md tracks it.
-const std::vector<char> kNamePad(0x68E8);
+const std::vector<char> kNamePad(0x12F00);
 
 struct MapperCase {
   std::string name;
@@ -125,11 +126,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kMappers),
                        ::testing::Values("BT", "SP", "LU", "K-means", "DNN",
                                          "CG", "MG", "FT")),
-    [](const ::testing::TestParamInfo<MapperAppMatrix::ParamType>& info) {
-      std::string app = std::get<1>(info.param);
+    [](const ::testing::TestParamInfo<MapperAppMatrix::ParamType>& pinfo) {
+      std::string app = std::get<1>(pinfo.param);
       for (auto& ch : app)
         if (ch == '-') ch = '_';
-      return std::get<0>(info.param).name + "_" + app;
+      return std::get<0>(pinfo.param).name + "_" + app;
     });
 
 class MapperDeploymentMatrix
@@ -168,9 +169,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kMappers),
                        ::testing::Range(0, 4)),
     [](const ::testing::TestParamInfo<MapperDeploymentMatrix::ParamType>&
-           info) {
-      return std::get<0>(info.param).name + "_" +
-             kDeployments[static_cast<std::size_t>(std::get<1>(info.param))]
+           pinfo) {
+      return std::get<0>(pinfo.param).name + "_" +
+             kDeployments[static_cast<std::size_t>(std::get<1>(pinfo.param))]
                  .name;
     });
 

@@ -1,9 +1,9 @@
 // The phase profiler + memory accounting contracts: the telescoping
 // invariant (exclusive times re-fold to the root's measured wall), merged
-// nesting, deterministic byte-identical exports, collapsed-stack output,
-// the MemTracker ledger/note semantics, batch-record equivalence, the
-// mapper progress heartbeat, and the forensic-recorder opt-outs staying
-// observation-only.
+// nesting, deterministic byte-identical exports, collapsed-stack output
+// and its profile.json round trip, the MemTracker ledger/note semantics,
+// batch-record equivalence, the mapper progress heartbeat, and the
+// forensic-recorder opt-outs staying observation-only.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "common/error.h"
 #include "common/json_reader.h"
 #include "common/rng.h"
 #include "core/geodist_mapper.h"
@@ -151,7 +152,7 @@ TEST(PhaseProfiler, DeterministicProfileJsonIsByteIdentical) {
     (void)core::GeoDistMapper(options).map(problem);
     std::ostringstream profile, collapsed;
     collector.write_profile_json(profile);
-    collector.write_profile_collapsed(collapsed);
+    obs::write_collapsed(collapsed, collector.profile().snapshot());
     return std::make_pair(profile.str(), collapsed.str());
   };
   const auto [profile_a, collapsed_a] = run_once();
@@ -174,6 +175,36 @@ TEST(PhaseProfiler, DeterministicProfileJsonIsByteIdentical) {
   const JsonValue* det = doc.find("deterministic");
   ASSERT_NE(det, nullptr);
   EXPECT_TRUE(det->as_bool());
+}
+
+TEST(PhaseProfiler, ProfileJsonRoundTripsToTheLiveCollapsedStacks) {
+  // profile.json is the only profile artifact: obsctl reads it back with
+  // profile_from_json and renders the collapsed stacks from that, so the
+  // round trip must reproduce the live tree's collapsed output exactly —
+  // with real clocks (exclusive-microsecond weights) and deterministic
+  // ones (call-count weights).
+  const mapping::MappingProblem problem = profile_test_problem(32);
+  for (const bool deterministic : {false, true}) {
+    obs::Collector collector;
+    collector.profile().set_deterministic(deterministic);
+    collector.mem().set_deterministic(deterministic);
+    core::GeoDistOptions options;
+    options.collector = &collector;
+    (void)core::GeoDistMapper(options).map(problem);
+
+    std::ostringstream json, live, read_back;
+    collector.write_profile_json(json);
+    obs::write_collapsed(live, collector.profile().snapshot());
+    const obs::PhaseSnapshot root =
+        obs::profile_from_json(parse_json(json.str()));
+    obs::write_collapsed(read_back, root);
+    EXPECT_FALSE(live.str().empty());
+    EXPECT_EQ(read_back.str(), live.str()) << "deterministic=" << deterministic;
+    EXPECT_EQ(root.name, "run");
+    EXPECT_EQ(root.has_time(), !deterministic);
+  }
+  EXPECT_THROW(obs::profile_from_json(parse_json("{\"trace\": {}}")),
+               InvalidArgument);
 }
 
 TEST(PhaseProfiler, MapperPhaseCarriesWorkCountersAndMemoryAccounts) {
